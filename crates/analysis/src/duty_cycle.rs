@@ -119,6 +119,7 @@ pub fn cumulative_energy_series(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intervals::StateCombination;
 
     fn iv(start_ms: u64, end_ms: u64, counts: u32, radio_on: bool) -> PowerInterval {
         PowerInterval {
@@ -126,7 +127,10 @@ mod tests {
             end: SimTime::from_millis(end_ms),
             counts,
             // sink 0 = cpu (always state 0 here), sink 1 = radio rx.
-            states: vec![StateIndex(0), StateIndex(if radio_on { 1 } else { 0 })],
+            states: StateCombination::from_slice(&[
+                StateIndex(0),
+                StateIndex(if radio_on { 1 } else { 0 }),
+            ]),
         }
     }
 

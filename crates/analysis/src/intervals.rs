@@ -13,9 +13,12 @@
 //! Timestamps in the log are 32-bit microsecond counters that wrap (about
 //! every 71.6 minutes); [`unwrap_times`] reconstructs monotonic 64-bit time.
 
-use hw_model::{Catalog, SimDuration, SimTime, StateIndex};
+use hw_model::{Catalog, SimDuration, SimTime, StateIndex, MAX_SINKS};
 use quanto_core::{ActivityLabel, DeviceId, EntryKind, LogEntry, Stamp};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// A log entry together with its unwrapped 64-bit timestamp.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,8 +40,113 @@ pub fn unwrap_times(entries: &[LogEntry]) -> Vec<UnwrappedEntry> {
     entries.iter().map(|e| unwrapper.unwrap_entry(e)).collect()
 }
 
+/// One state index per sink, stored inline: a `Copy` value that derefs to
+/// `[StateIndex]`, so emitting an interval or keying a pool by its state
+/// combination never touches the heap.
+///
+/// Its capacity is [`MAX_SINKS`], which every [`Catalog`] respects (the
+/// catalog builder refuses to grow past it).  Equality and ordering are
+/// exactly those of the slice — in particular the order is lexicographic on
+/// the state indices, which fixes the order pooled observations come out in.
+#[derive(Clone, Copy, Default)]
+pub struct StateCombination {
+    len: u8,
+    states: [StateIndex; MAX_SINKS],
+}
+
+impl StateCombination {
+    /// Copies `states` into an inline combination.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `states` is longer than [`MAX_SINKS`].
+    pub fn from_slice(states: &[StateIndex]) -> Self {
+        states.iter().copied().collect()
+    }
+
+    /// The default state of every sink of `catalog`, in sink order.
+    pub fn defaults(catalog: &Catalog) -> Self {
+        catalog.sinks().map(|(_, s)| s.default_state).collect()
+    }
+
+    /// The whole inline array as big-endian words.  Slots past `len` always
+    /// hold the default state (nothing can write them), so comparing the
+    /// words and then the lengths orders two combinations exactly as their
+    /// slices: a strict prefix ties on the words and loses on the length.
+    /// Three word comparisons replace up to [`MAX_SINKS`] per-state ones —
+    /// this comparison is the observation pool's inner loop.
+    fn words(&self) -> [u64; MAX_SINKS / 8] {
+        std::array::from_fn(|w| {
+            u64::from_be_bytes(std::array::from_fn(|b| self.states[8 * w + b].as_u8()))
+        })
+    }
+}
+
+const _: () = assert!(MAX_SINKS.is_multiple_of(8), "words() packs whole u64s");
+
+impl FromIterator<StateIndex> for StateCombination {
+    /// # Panics
+    ///
+    /// Panics if the iterator yields more than [`MAX_SINKS`] states.
+    fn from_iter<I: IntoIterator<Item = StateIndex>>(iter: I) -> Self {
+        let mut out = StateCombination::default();
+        for state in iter {
+            let i = usize::from(out.len);
+            assert!(
+                i < MAX_SINKS,
+                "state combination exceeds the {MAX_SINKS}-sink capacity"
+            );
+            out.states[i] = state;
+            out.len += 1;
+        }
+        out
+    }
+}
+
+impl Deref for StateCombination {
+    type Target = [StateIndex];
+
+    fn deref(&self) -> &[StateIndex] {
+        &self.states[..usize::from(self.len)]
+    }
+}
+
+impl DerefMut for StateCombination {
+    fn deref_mut(&mut self) -> &mut [StateIndex] {
+        &mut self.states[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for StateCombination {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.words() == other.words()
+    }
+}
+
+impl Eq for StateCombination {}
+
+impl PartialOrd for StateCombination {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for StateCombination {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.words()
+            .cmp(&other.words())
+            .then(self.len.cmp(&other.len))
+    }
+}
+
+impl fmt::Debug for StateCombination {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// A span during which the set of active power states was constant.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerInterval {
     /// Interval start.
     pub start: SimTime,
@@ -47,7 +155,7 @@ pub struct PowerInterval {
     /// iCount pulses accumulated during the interval.
     pub counts: u32,
     /// The per-sink state indices in effect during the interval.
-    pub states: Vec<StateIndex>,
+    pub states: StateCombination,
 }
 
 impl PowerInterval {

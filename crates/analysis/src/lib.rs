@@ -37,7 +37,7 @@ pub use duty_cycle::{
 };
 pub use intervals::{
     activity_segments, multi_segments, power_intervals, unwrap_times, ActivitySegment,
-    MultiSegment, PowerInterval, UnwrappedEntry,
+    MultiSegment, PowerInterval, StateCombination, UnwrappedEntry,
 };
 pub use matrix::{weighted_least_squares, Matrix, MatrixError};
 pub use reconstruct::{reconstruct_power, reconstruction_energy_error, StackedStep};

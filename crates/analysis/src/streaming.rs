@@ -24,7 +24,9 @@
 //!   proxy-binding semantics, not an implementation shortcut.
 //! * [`MultiSegmentBuilder`] — O(concurrent activities) open state.
 
-use crate::intervals::{ActivitySegment, MultiSegment, PowerInterval, UnwrappedEntry};
+use crate::intervals::{
+    ActivitySegment, MultiSegment, PowerInterval, StateCombination, UnwrappedEntry,
+};
 use hw_model::{Catalog, SimTime, StateIndex};
 use quanto_core::{ActivityLabel, DeviceId, EntryKind, LogEntry, Stamp};
 
@@ -70,10 +72,14 @@ impl TimeUnwrapper {
 
 /// Incremental [`crate::intervals::power_intervals`]: feed it entry chunks,
 /// drain completed [`PowerInterval`]s as they close.
+///
+/// Each interval carries its state combination inline (a copy of the open
+/// [`StateCombination`]), so once the ready buffer has grown to one chunk's
+/// worth of intervals, pushing and draining allocate nothing.
 #[derive(Debug, Clone)]
 pub struct IntervalBuilder {
     unwrapper: TimeUnwrapper,
-    states: Vec<StateIndex>,
+    states: StateCombination,
     cursor_time: SimTime,
     cursor_counts: u32,
     ready: Vec<PowerInterval>,
@@ -85,7 +91,7 @@ impl IntervalBuilder {
     pub fn new(catalog: &Catalog) -> Self {
         IntervalBuilder {
             unwrapper: TimeUnwrapper::new(),
-            states: catalog.sinks().map(|(_, s)| s.default_state).collect(),
+            states: StateCombination::defaults(catalog),
             cursor_time: SimTime::ZERO,
             cursor_counts: 0,
             ready: Vec::new(),
@@ -106,7 +112,7 @@ impl IntervalBuilder {
                 start: self.cursor_time,
                 end: time,
                 counts: entry.icount.wrapping_sub(self.cursor_counts),
-                states: self.states.clone(),
+                states: self.states,
             });
         }
         if sink.as_usize() < self.states.len() {
@@ -145,20 +151,18 @@ impl IntervalBuilder {
                     start: self.cursor_time,
                     end: end.time,
                     counts: end.icount.wrapping_sub(self.cursor_counts),
-                    states: self.states.clone(),
+                    states: self.states,
                 });
             }
         }
     }
 
     /// Returns the builder to its boot state (catalog-default sink states,
-    /// zero cursor, no wraps seen), keeping its allocations — so one builder
-    /// can be reused across runs without reallocating per-sink state.
+    /// zero cursor, no wraps seen), keeping its ready buffer — so one
+    /// builder can be reused across runs without reallocating.
     pub fn reset(&mut self, catalog: &Catalog) {
         self.unwrapper = TimeUnwrapper::new();
-        self.states.clear();
-        self.states
-            .extend(catalog.sinks().map(|(_, s)| s.default_state));
+        self.states = StateCombination::defaults(catalog);
         self.cursor_time = SimTime::ZERO;
         self.cursor_counts = 0;
         self.ready.clear();

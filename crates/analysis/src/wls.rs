@@ -13,17 +13,16 @@
 //! where `X` is the 0/1 design matrix of active power states (plus a constant
 //! column absorbing quiescent draw), and `W = diag(w_j)`.
 
-use crate::intervals::PowerInterval;
+use crate::intervals::{PowerInterval, StateCombination};
 use crate::matrix::{weighted_least_squares, Matrix, MatrixError};
 use hw_model::{Catalog, Current, Energy, Power, SimDuration, SinkId, StateIndex, Voltage};
-use std::collections::BTreeMap;
 
 /// One pooled observation: a unique combination of power states with the
 /// total time and energy spent in it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Observation {
     /// Per-sink state indices for this pooled state.
-    pub states: Vec<StateIndex>,
+    pub states: StateCombination,
     /// Total time spent in this state combination.
     pub time: SimDuration,
     /// Total (nominal) energy metered in this state combination.
@@ -52,9 +51,17 @@ impl Observation {
 /// the number of combinations the platform can express — not by the number
 /// of intervals — which is what lets a streaming consumer regress a
 /// week-long log without holding it.
+///
+/// The groups sit in a vector sorted by combination, each interval is looked
+/// up by binary search on its borrowed states, and a group is inserted only
+/// the first time its combination appears.  Folding an interval whose
+/// combination was seen before therefore never allocates, and
+/// [`ObservationPool::clear`] keeps the vector's capacity for the next run.
+/// The sort order is lexicographic on the state indices, which fixes the
+/// order of [`ObservationPool::observations`].
 #[derive(Debug, Clone, Default)]
 pub struct ObservationPool {
-    grouped: BTreeMap<Vec<u8>, (SimDuration, u64)>,
+    grouped: Vec<(StateCombination, SimDuration, u64)>,
 }
 
 impl ObservationPool {
@@ -65,13 +72,23 @@ impl ObservationPool {
 
     /// Folds one interval into the pool.
     pub fn add(&mut self, interval: &PowerInterval) {
-        let key: Vec<u8> = interval.states.iter().map(|s| s.as_u8()).collect();
-        let slot = self.grouped.entry(key).or_insert((SimDuration::ZERO, 0));
-        slot.0 += interval.duration();
-        slot.1 += interval.counts as u64;
+        let i = match self
+            .grouped
+            .binary_search_by(|(key, ..)| key.cmp(&interval.states))
+        {
+            Ok(i) => i,
+            Err(i) => {
+                self.grouped
+                    .insert(i, (interval.states, SimDuration::ZERO, 0));
+                i
+            }
+        };
+        let (_, time, counts) = &mut self.grouped[i];
+        *time += interval.duration();
+        *counts += interval.counts as u64;
     }
 
-    /// Empties the pool for reuse across runs.
+    /// Empties the pool for reuse across runs, keeping its capacity.
     pub fn clear(&mut self) {
         self.grouped.clear();
     }
@@ -91,21 +108,8 @@ impl ObservationPool {
     pub fn observations(&self, energy_per_count: Energy) -> Vec<Observation> {
         self.grouped
             .iter()
-            .map(|(key, (time, counts))| Observation {
-                states: key.iter().copied().map(StateIndex).collect(),
-                time: *time,
-                energy: energy_per_count * *counts as f64,
-            })
-            .collect()
-    }
-
-    /// Like [`ObservationPool::observations`], but consumes the pool and
-    /// reuses its key allocations — the batch path.
-    pub fn into_observations(self, energy_per_count: Energy) -> Vec<Observation> {
-        self.grouped
-            .into_iter()
-            .map(|(key, (time, counts))| Observation {
-                states: key.into_iter().map(StateIndex).collect(),
+            .map(|&(states, time, counts)| Observation {
+                states,
                 time,
                 energy: energy_per_count * counts as f64,
             })
@@ -121,7 +125,7 @@ pub fn pool_intervals(intervals: &[PowerInterval], energy_per_count: Energy) -> 
     for iv in intervals {
         pool.add(iv);
     }
-    pool.into_observations(energy_per_count)
+    pool.observations(energy_per_count)
 }
 
 /// Options controlling the regression.
@@ -427,7 +431,7 @@ mod tests {
     fn pooling_merges_equal_states() {
         let (mut intervals, _cat, _leds, _cpu) = blink_intervals();
         // Duplicate the first interval; pooling should merge it.
-        let dup = intervals[0].clone();
+        let dup = intervals[0];
         intervals.push(PowerInterval {
             start: SimTime::from_secs(100),
             end: SimTime::from_secs(101),
@@ -514,7 +518,7 @@ mod tests {
         ));
         // Two observations (LED0+LED1 on, LED0+LED2 on) leave LED1, LED2 and
         // the constant as three unknowns: underdetermined.
-        let two = [intervals[3].clone(), intervals[5].clone()];
+        let two = [intervals[3], intervals[5]];
         let few = pool_intervals(&two, Energy::from_micro_joules(1.0));
         assert!(matches!(
             regress(&few, &cat, RegressionOptions::default()),
@@ -605,12 +609,12 @@ mod tests {
     #[test]
     fn observation_weight_grows_with_energy_and_time() {
         let a = Observation {
-            states: vec![],
+            states: StateCombination::default(),
             time: SimDuration::from_secs(1),
             energy: Energy::from_micro_joules(100.0),
         };
         let b = Observation {
-            states: vec![],
+            states: StateCombination::default(),
             time: SimDuration::from_secs(4),
             energy: Energy::from_micro_joules(400.0),
         };

@@ -877,7 +877,16 @@ fn parse_cell_key(cell: &mut RawCell, n: usize, key: &str, value: &str) -> Resul
                 .collect::<Result<_, _>>()?
         }
         "base" => cell.base = Some((value.to_string(), n)),
-        "range_m" => cell.range_m = Some(parse_f64(n, key, value)?),
+        "range_m" => {
+            let range = parse_f64(n, key, value)?;
+            if range <= 0.0 {
+                return Err(GridError::at(
+                    n,
+                    format!("range_m must be positive, got {range}"),
+                ));
+            }
+            cell.range_m = Some(range);
+        }
         "positions" => cell.positions = Some(parse_positions(n, value)?),
         "placement" => {
             let tokens: Vec<&str> = value.split_whitespace().collect();
@@ -925,9 +934,23 @@ fn parse_cell_key(cell: &mut RawCell, n: usize, key: &str, value: &str) -> Resul
 }
 
 fn parse_f64(n: usize, key: &str, value: &str) -> Result<f64, GridError> {
-    value
+    let v = value
         .parse()
-        .map_err(|_| GridError::at(n, format!("{key} expects a number, got {value:?}")))
+        .map_err(|_| GridError::at(n, format!("{key} expects a number, got {value:?}")))?;
+    finite(n, key, v)
+}
+
+/// `nan` and `inf` parse as `f64` but would simulate silently as nonsense,
+/// so every number a grid file gives goes through here.
+fn finite(n: usize, what: &str, v: f64) -> Result<f64, GridError> {
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(GridError::at(
+            n,
+            format!("{what} must be a finite number, got {v}"),
+        ))
+    }
 }
 
 fn parse_u64(n: usize, key: &str, value: &str) -> Result<u64, GridError> {
@@ -955,8 +978,10 @@ fn parse_u64_list(n: usize, key: &str, value: &str) -> Result<Vec<u64>, GridErro
         .collect()
 }
 
-/// `1:0,0 4:8.5,0` — whitespace-separated `id:x,y` placements.
+/// `1:0,0 4:8.5,0` — whitespace-separated `id:x,y` placements, each id at
+/// most once.
 fn parse_positions(n: usize, value: &str) -> Result<Vec<(u32, f64, f64)>, GridError> {
+    let mut seen = std::collections::HashSet::new();
     value
         .split_whitespace()
         .map(|tok| {
@@ -974,10 +999,16 @@ fn parse_positions(n: usize, value: &str) -> Result<Vec<(u32, f64, f64)>, GridEr
                     ),
                 ));
             }
+            if !seen.insert(id) {
+                return Err(GridError::at(
+                    n,
+                    format!("node id {id} is placed twice in positions"),
+                ));
+            }
             Ok((
                 id,
-                x.parse().map_err(|_| bad())?,
-                y.parse().map_err(|_| bad())?,
+                finite(n, "positions coordinate", x.parse().map_err(|_| bad())?)?,
+                finite(n, "positions coordinate", y.parse().map_err(|_| bad())?)?,
             ))
         })
         .collect()
@@ -1017,15 +1048,15 @@ fn parse_trace(n: usize, value: &str) -> Result<TraceTemplate, GridError> {
         } else if let Some(us) = t.strip_suffix("us") {
             TraceTime::Micros(us.parse().map_err(|_| bad())?)
         } else if let Some(s) = t.strip_suffix('s') {
-            let secs: f64 = s.parse().map_err(|_| bad())?;
+            let secs = finite(n, "trace time", s.parse().map_err(|_| bad())?)?;
             TraceTime::Micros((secs * 1e6).round() as u64)
         } else {
             return Err(bad());
         };
         waypoints.push((
             time,
-            x.parse().map_err(|_| bad())?,
-            y.parse().map_err(|_| bad())?,
+            finite(n, "trace coordinate", x.parse().map_err(|_| bad())?)?,
+            finite(n, "trace coordinate", y.parse().map_err(|_| bad())?)?,
         ));
     }
     if waypoints.is_empty() {
@@ -1182,6 +1213,63 @@ mod tests {
                 assert_eq!(err.line, Some(*line), "{err}");
             }
         }
+    }
+
+    /// Hostile numbers: each fails with its line, never a silent run.
+    fn expect_error_at(text: &str, needle: &str, line: usize) {
+        let err = GridSpec::parse(text)
+            .and_then(|g| g.expand().map(|_| ()))
+            .expect_err(&format!("{text:?} must fail"));
+        assert!(
+            err.message.contains(needle),
+            "error {err} should mention {needle:?}"
+        );
+        assert_eq!(err.line, Some(line), "{err}");
+    }
+
+    const BOUNCE_DISK: &str = "[grid]\nseconds = 1\n[cell.b]\napp = bounce\nmedium = unit_disk\n";
+
+    #[test]
+    fn negative_and_zero_range_m_are_rejected() {
+        for range in ["-5", "0"] {
+            expect_error_at(
+                &format!("{BOUNCE_DISK}range_m = {range}\npositions = 1:0,0 4:8,0\n"),
+                "range_m must be positive",
+                6,
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        for coords in ["1:nan,0 4:8,0", "1:0,0 4:inf,0"] {
+            expect_error_at(
+                &format!("{BOUNCE_DISK}range_m = 10\npositions = {coords}\n"),
+                "positions coordinate must be a finite number",
+                7,
+            );
+        }
+        expect_error_at(
+            &format!("{BOUNCE_DISK}range_m = inf\npositions = 1:0,0 4:8,0\n"),
+            "range_m must be a finite number",
+            6,
+        );
+        expect_error_at("[grid]\nseconds = NaN\n[cell.x]\napp = idle\n", "finite", 2);
+        expect_error_at(
+            "[grid]\n[cell.m]\napp = bounce\nmedium = mobility\nbase = unit_disk\n\
+             range_m = 10\npositions = 1:0,0\ntrace = 4: 0%:5,0 50%:-inf,0\n",
+            "trace coordinate must be a finite number",
+            8,
+        );
+    }
+
+    #[test]
+    fn duplicate_position_ids_are_rejected() {
+        expect_error_at(
+            &format!("{BOUNCE_DISK}range_m = 10\npositions = 1:0,0 4:8,0 1:3,3\n"),
+            "node id 1 is placed twice",
+            7,
+        );
     }
 
     #[test]

@@ -9,6 +9,15 @@ use crate::units::Current;
 use std::collections::HashMap;
 use std::fmt;
 
+/// The most sinks a catalog may hold.
+///
+/// The analysis side stores the per-sink state combination of every power
+/// interval inline (no heap allocation per interval), so the combination has
+/// a fixed capacity.  It covers every catalog this repository builds — the
+/// HydroWatch platform, the largest, has 17 sinks — and
+/// [`CatalogBuilder::add`] refuses to grow past it.
+pub const MAX_SINKS: usize = 24;
+
 /// Identifier of an energy sink within a [`Catalog`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SinkId(pub u16);
@@ -138,12 +147,19 @@ impl CatalogBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if a sink with the same name was already added.
+    /// Panics if a sink with the same name was already added, or if the
+    /// catalog already holds [`MAX_SINKS`] sinks.
     pub fn add(&mut self, sink: EnergySink) -> SinkId {
         assert!(
             !self.sinks.iter().any(|s| s.name == sink.name),
             "duplicate sink name: {}",
             sink.name
+        );
+        assert!(
+            self.sinks.len() < MAX_SINKS,
+            "too many sinks: {} would be sink #{}, past the {MAX_SINKS}-sink capacity",
+            sink.name,
+            self.sinks.len() + 1
         );
         let id = SinkId(self.sinks.len() as u16);
         self.sinks.push(sink);
@@ -673,6 +689,33 @@ mod tests {
             ComponentClass::Other,
             vec![PowerStateDef::new("OFF", Current::ZERO)],
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "too many sinks")]
+    fn catalogs_past_the_inline_capacity_are_rejected() {
+        let mut b = CatalogBuilder::new();
+        for i in 0..=MAX_SINKS {
+            b.add(EnergySink::new(
+                format!("sink{i}"),
+                ComponentClass::Other,
+                vec![PowerStateDef::new("OFF", Current::ZERO)],
+            ));
+        }
+    }
+
+    #[test]
+    fn catalogs_at_the_inline_capacity_build() {
+        let mut b = CatalogBuilder::new();
+        for i in 0..MAX_SINKS {
+            b.add(EnergySink::new(
+                format!("sink{i}"),
+                ComponentClass::Other,
+                vec![PowerStateDef::new("OFF", Current::ZERO)],
+            ));
+        }
+        assert_eq!(b.build().sink_count(), MAX_SINKS);
+        assert!(hydrowatch().0.sink_count() <= MAX_SINKS);
     }
 
     #[test]

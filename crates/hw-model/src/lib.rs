@@ -29,7 +29,7 @@ pub mod sink;
 pub mod state_vector;
 pub mod units;
 
-pub use catalog::{Catalog, CatalogBuilder, SinkId};
+pub use catalog::{Catalog, CatalogBuilder, SinkId, MAX_SINKS};
 pub use noise::NoiseModel;
 pub use power::{EnergyAccumulator, PowerModel};
 pub use sink::{ComponentClass, EnergySink, PowerStateDef, StateIndex};

@@ -1,12 +1,16 @@
 //! Property-based tests on the core data structures and invariants.
 
 use proptest::prelude::*;
-use quanto::analysis::{self, PowerInterval, RegressionOptions};
-use quanto::hw_model::catalog::{blink_catalog, led_state};
-use quanto::hw_model::{Energy, PowerModel, SimDuration, SimTime, SinkId, StateVector, Voltage};
+use quanto::analysis::{self, PowerInterval, RegressionOptions, StateCombination};
+use quanto::hw_model::catalog::{blink_catalog, hydrowatch, led_state};
+use quanto::hw_model::{
+    Energy, PowerModel, SimDuration, SimTime, SinkId, StateIndex, StateVector, Voltage, MAX_SINKS,
+};
 use quanto::quanto_core::{
     ActivityId, ActivityLabel, DeviceId, EntryKind, LogEntry, NodeId, OverflowPolicy, RamLogger,
+    Stamp,
 };
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 proptest! {
@@ -278,5 +282,92 @@ proptest! {
         for w in segs.windows(2) {
             prop_assert_eq!(w[0].end, w[1].start);
         }
+    }
+
+    /// The observation pool groups arbitrary chunked interval streams over
+    /// the 17-sink HydroWatch catalog exactly as a `BTreeMap<Vec<u8>, _>`
+    /// keyed by the state bytes does: the same combinations, in the same
+    /// (lexicographic) order, with equal times and bit-equal energies — and
+    /// again after `clear`, so a pooled (reused) pool agrees too.
+    #[test]
+    fn pool_groups_like_the_byte_keyed_btreemap(
+        steps in prop::collection::vec((1u64..5_000, 0u16..17, 0u16..4, 0u32..400), 1..120),
+        chunk in 1usize..17,
+        epc_pj in 1u32..1_000_000,
+    ) {
+        let (cat, _) = hydrowatch();
+        let mut t = 0u64;
+        let mut ic = 0u32;
+        let entries: Vec<LogEntry> = steps
+            .iter()
+            .map(|(dt, sink, value, dic)| {
+                t += dt;
+                ic = ic.wrapping_add(*dic);
+                LogEntry::power_state(SimTime::from_micros(t), ic, SinkId(*sink), *value)
+            })
+            .collect();
+        let stamp = Some(Stamp::new(SimTime::from_micros(t + 250), ic.wrapping_add(9)));
+        let epc = Energy::from_micro_joules(f64::from(epc_pj) * 1e-6);
+
+        let mut builder = analysis::IntervalBuilder::new(&cat);
+        let mut pool = analysis::ObservationPool::new();
+        for _ in 0..2 {
+            let mut oracle: BTreeMap<Vec<u8>, (SimDuration, u64)> = BTreeMap::new();
+            let mut absorb = |iv: &PowerInterval, pool: &mut analysis::ObservationPool| {
+                pool.add(iv);
+                let key: Vec<u8> = iv.states.iter().map(|s| s.as_u8()).collect();
+                let slot = oracle.entry(key).or_insert((SimDuration::ZERO, 0));
+                slot.0 += iv.duration();
+                slot.1 += iv.counts as u64;
+            };
+            for c in entries.chunks(chunk) {
+                builder.push_chunk(c);
+                for iv in builder.drain_completed() {
+                    absorb(&iv, &mut pool);
+                }
+            }
+            builder.flush(stamp);
+            for iv in builder.drain_completed() {
+                absorb(&iv, &mut pool);
+            }
+
+            let got = pool.observations(epc);
+            prop_assert_eq!(got.len(), oracle.len());
+            prop_assert_eq!(pool.len(), oracle.len());
+            for (obs, (key, (time, counts))) in got.iter().zip(&oracle) {
+                let states: Vec<u8> = obs.states.iter().map(|s| s.as_u8()).collect();
+                prop_assert_eq!(&states, key);
+                prop_assert_eq!(obs.time, *time);
+                prop_assert_eq!(
+                    obs.energy.as_micro_joules().to_bits(),
+                    (epc * *counts as f64).as_micro_joules().to_bits()
+                );
+            }
+            builder.reset(&cat);
+            pool.clear();
+        }
+    }
+
+    /// A `StateCombination` compares exactly like the slice it holds, for
+    /// every pair of lengths up to the inline capacity (prefixes included:
+    /// the small state range makes shared prefixes and ties common).
+    #[test]
+    fn state_combinations_order_like_their_slices(
+        a in prop::collection::vec(0u8..3, 0..=MAX_SINKS),
+        b in prop::collection::vec(0u8..3, 0..=MAX_SINKS),
+        b_from_a_prefix in any::<bool>(),
+    ) {
+        let a: Vec<StateIndex> = a.into_iter().map(StateIndex).collect();
+        let mut b: Vec<StateIndex> = b.into_iter().map(StateIndex).collect();
+        if b_from_a_prefix {
+            // Share a prefix with `a`, so ties on leading states are common.
+            let keep = b.len().min(a.len());
+            b[..keep].copy_from_slice(&a[..keep]);
+        }
+        let (ca, cb) = (StateCombination::from_slice(&a), StateCombination::from_slice(&b));
+        prop_assert_eq!(&*ca, a.as_slice());
+        prop_assert_eq!(ca.cmp(&cb), a.cmp(&b));
+        prop_assert_eq!(ca == cb, a == b);
+        prop_assert_eq!(ca.partial_cmp(&cb), a.partial_cmp(&b));
     }
 }
