@@ -37,6 +37,10 @@ pub struct RamLogger {
     capacity: usize,
     policy: OverflowPolicy,
     buffer: Vec<LogEntry>,
+    /// Index of the oldest entry once a full `Wrap` buffer has started
+    /// overwriting (always 0 otherwise): the ring is `buffer[head..]` then
+    /// `buffer[..head]`.
+    head: usize,
     /// Entries already moved out of the RAM buffer (Flush policy) but still
     /// held host-side because no sink is attached.
     drained: Vec<LogEntry>,
@@ -82,6 +86,7 @@ impl RamLogger {
             capacity,
             policy,
             buffer: Vec::with_capacity(capacity),
+            head: 0,
             drained: Vec::new(),
             sink: None,
             flushed: 0,
@@ -163,8 +168,8 @@ impl RamLogger {
                 false
             }
             OverflowPolicy::Wrap => {
-                self.buffer.remove(0);
-                self.buffer.push(entry);
+                self.buffer[self.head] = entry;
+                self.head = (self.head + 1) % self.capacity;
                 self.dropped += 1;
                 true
             }
@@ -182,22 +187,18 @@ impl RamLogger {
         }
     }
 
-    /// Entries currently in the RAM buffer.
-    pub fn buffered(&self) -> &[LogEntry] {
-        &self.buffer
-    }
-
     /// Entries that were flushed out of the buffer and are still held
     /// host-side (always empty while a sink is attached).
     pub fn drained(&self) -> &[LogEntry] {
         &self.drained
     }
 
-    /// The surviving held entries as chunks in chronological order (drained
-    /// then buffered) — the non-destructive, copy-free view a [`LogSink`]
-    /// consumer iterates.
+    /// The surviving held entries as chunks in chronological order (drained,
+    /// then the buffer from its oldest entry round the ring) — the
+    /// non-destructive, copy-free view a [`LogSink`] consumer iterates.
     pub fn chunks(&self) -> impl Iterator<Item = &[LogEntry]> {
-        [self.drained.as_slice(), self.buffer.as_slice()]
+        let (newer, older) = self.buffer.split_at(self.head);
+        [self.drained.as_slice(), older, newer]
             .into_iter()
             .filter(|c| !c.is_empty())
     }
@@ -244,14 +245,13 @@ impl RamLogger {
     /// pulls the log off the node" step, without materialising an
     /// intermediate `Vec`.
     pub fn drain_to(&mut self, sink: &mut dyn LogSink) {
-        for chunk in [self.drained.as_slice(), self.buffer.as_slice()] {
-            if !chunk.is_empty() {
-                sink.accept(chunk);
-            }
+        for chunk in self.chunks() {
+            sink.accept(chunk);
         }
         self.flushed += self.len() as u64;
         self.drained.clear();
         self.buffer.clear();
+        self.head = 0;
     }
 
     /// Streams every remaining held entry through the *attached* sink and
@@ -272,6 +272,8 @@ impl RamLogger {
     /// (at most `capacity` entries) is appended.
     pub fn take(&mut self) -> Vec<LogEntry> {
         let n = self.len() as u64;
+        self.buffer.rotate_left(self.head);
+        self.head = 0;
         let mut all = std::mem::take(&mut self.drained);
         all.append(&mut self.buffer);
         self.flushed += n;
@@ -284,6 +286,7 @@ impl RamLogger {
     /// unchanged.
     pub fn reset(&mut self) {
         self.buffer.clear();
+        self.head = 0;
         self.drained.clear();
         self.sink = None;
         self.flushed = 0;
@@ -306,6 +309,7 @@ impl RamLogger {
             buf.reserve(self.capacity - buf.len());
         }
         self.buffer = buf;
+        self.head = 0;
     }
 
     /// Surrenders the RAM buffer's allocation to a pool, clearing any held
@@ -315,6 +319,7 @@ impl RamLogger {
     pub fn recycle_buffer(&mut self) -> Vec<LogEntry> {
         let mut buf = std::mem::take(&mut self.buffer);
         buf.clear();
+        self.head = 0;
         buf
     }
 }
@@ -365,7 +370,10 @@ mod tests {
         // The first three survive, all of them still in the RAM buffer.
         assert_eq!(held(&l)[0], entry(0));
         assert_eq!(held(&l)[2], entry(2));
-        assert_eq!(l.buffered(), &[entry(0), entry(1), entry(2)][..]);
+        assert_eq!(
+            l.chunks().collect::<Vec<_>>(),
+            vec![&[entry(0), entry(1), entry(2)][..]]
+        );
         assert!(l.drained().is_empty(), "Stop never drains");
     }
 
@@ -380,9 +388,46 @@ mod tests {
         let e = held(&l);
         assert_eq!(e[0], entry(2));
         assert_eq!(e[2], entry(4));
+        assert_eq!(e, vec![entry(2), entry(3), entry(4)]);
         // The ring lives entirely in the RAM buffer.
-        assert_eq!(l.buffered(), &[entry(2), entry(3), entry(4)][..]);
+        assert_eq!(l.ram_bytes_used(), l.capacity_bytes());
         assert!(l.drained().is_empty(), "Wrap never drains");
+    }
+
+    #[test]
+    fn wrap_ring_drains_and_takes_oldest_first() {
+        // 3 entries in a 3-slot ring after 8 records: the oldest survivor
+        // sits mid-buffer, so every reader must start at the ring head.
+        let fill = || {
+            let mut l = RamLogger::new(3, OverflowPolicy::Wrap);
+            for i in 0..8 {
+                l.record(entry(i));
+            }
+            l
+        };
+        let newest = vec![entry(5), entry(6), entry(7)];
+        let l = fill();
+        assert_eq!(held(&l), newest);
+        assert_eq!(l.chunks().count(), 2, "the ring wraps mid-buffer");
+
+        let mut l = fill();
+        assert_eq!(l.take(), newest);
+        assert!(l.is_empty());
+        // After a take the ring restarts from slot 0.
+        for i in 10..15 {
+            l.record(entry(i));
+        }
+        assert_eq!(held(&l), vec![entry(12), entry(13), entry(14)]);
+
+        let mut l = fill();
+        let collected: Rc<RefCell<Vec<LogEntry>>> = Rc::new(RefCell::new(Vec::new()));
+        let tap = collected.clone();
+        let mut sink = move |chunk: &[LogEntry]| tap.borrow_mut().extend_from_slice(chunk);
+        l.drain_to(&mut sink);
+        assert_eq!(*collected.borrow(), newest);
+        assert!(l.is_empty());
+        assert_eq!(l.flushed(), 3);
+        assert_eq!(l.dropped(), 5);
     }
 
     #[test]
@@ -400,7 +445,7 @@ mod tests {
         }
         assert!(l.ram_bytes_used() <= 2 * ENTRY_SIZE_BYTES);
         assert!(!l.drained().is_empty());
-        assert!(!l.buffered().is_empty());
+        assert!(l.ram_bytes_used() > 0);
     }
 
     #[test]
@@ -499,7 +544,7 @@ mod tests {
         for i in 0..10 {
             l.record(entry(i));
         }
-        let buf_ptr = l.buffered().as_ptr();
+        let buf_ptr = l.chunks().next().unwrap().as_ptr();
         l.reset();
         assert!(l.is_empty());
         assert!(!l.has_sink());
@@ -511,7 +556,7 @@ mod tests {
         assert_eq!(l.policy(), OverflowPolicy::Flush);
         l.record(entry(0));
         assert_eq!(
-            l.buffered().as_ptr(),
+            l.chunks().next().unwrap().as_ptr(),
             buf_ptr,
             "reset keeps the buffer allocation"
         );
@@ -531,15 +576,19 @@ mod tests {
         b.adopt_buffer(recycled);
         assert!(b.is_empty(), "adopted buffer arrives cleared");
         b.record(entry(5));
-        assert_eq!(b.buffered(), &[entry(5)][..]);
-        assert_eq!(b.buffered().as_ptr(), ptr, "allocation is reused");
+        assert_eq!(held(&b), vec![entry(5)]);
+        assert_eq!(
+            b.chunks().next().unwrap().as_ptr(),
+            ptr,
+            "allocation is reused"
+        );
     }
 
     #[test]
     fn adopting_an_undersized_buffer_grows_it_to_capacity() {
         let mut l = RamLogger::new(16, OverflowPolicy::Stop);
         l.adopt_buffer(Vec::new());
-        assert!(l.buffered().is_empty());
+        assert!(l.is_empty());
         for i in 0..16 {
             assert!(l.record(entry(i)));
         }
@@ -613,7 +662,6 @@ mod tests {
                 "{policy:?} lost entries without accounting for them"
             );
             // The RAM buffer never exceeds its fixed footprint.
-            assert!(l.buffered().len() <= CAP);
             assert!(l.ram_bytes_used() <= l.capacity_bytes());
             match policy {
                 OverflowPolicy::Stop => {

@@ -155,8 +155,10 @@ pub struct QuantoRuntime {
     cost_stats: CostStats,
     mode: AccountingMode,
     counters: OnlineCounters,
-    /// Last stamp at which each single-activity device changed activity.
-    last_change: HashMap<DeviceId, Stamp>,
+    /// Last stamp at which each single-activity device changed activity,
+    /// dense-indexed by `DeviceId` like the device table (only `Counters`
+    /// and `Both` read it, so `Log` mode never writes it).
+    last_change: Vec<Option<Stamp>>,
     /// The device whose activity aggregate energy is charged to in Counters
     /// mode (normally the CPU).
     cpu_device: Option<DeviceId>,
@@ -189,7 +191,7 @@ impl QuantoRuntime {
             cost_stats: CostStats::default(),
             mode: config.mode,
             counters: OnlineCounters::default(),
-            last_change: HashMap::new(),
+            last_change: Vec::new(),
             cpu_device: None,
             pending_overhead_cycles: 0,
             listeners: Vec::new(),
@@ -227,12 +229,16 @@ impl QuantoRuntime {
 
     /// Registers a single-activity device (CPU, radio, flash, sensor, LED).
     pub fn register_single_device(&mut self, name: impl Into<String>) -> DeviceId {
-        self.devices.register_single(name)
+        let id = self.devices.register_single(name);
+        self.last_change.push(None);
+        id
     }
 
     /// Registers a multi-activity device (hardware timer, listening radio).
     pub fn register_multi_device(&mut self, name: impl Into<String>) -> DeviceId {
-        self.devices.register_multi(name)
+        let id = self.devices.register_multi(name);
+        self.last_change.push(None);
+        id
     }
 
     /// Declares which device is the CPU; aggregate energy is charged to the
@@ -409,21 +415,22 @@ impl QuantoRuntime {
     // ------------------------------------------------------------------
 
     fn account_interval(&mut self, stamp: Stamp, dev: DeviceId, prev_label: ActivityLabel) {
-        if matches!(self.mode, AccountingMode::Counters | AccountingMode::Both) {
-            if let Some(last) = self.last_change.get(&dev) {
-                let elapsed = stamp.time.saturating_duration_since(last.time);
-                *self
-                    .counters
-                    .time_per
-                    .entry((dev, prev_label))
-                    .or_insert(SimDuration::ZERO) += elapsed;
-                if Some(dev) == self.cpu_device {
-                    let delta = stamp.icount.wrapping_sub(last.icount) as u64;
-                    *self.counters.counts_per.entry(prev_label).or_insert(0) += delta;
-                }
+        if self.mode == AccountingMode::Log {
+            return;
+        }
+        let slot = &mut self.last_change[dev.as_u8() as usize];
+        if let Some(last) = slot.replace(stamp) {
+            let elapsed = stamp.time.saturating_duration_since(last.time);
+            *self
+                .counters
+                .time_per
+                .entry((dev, prev_label))
+                .or_insert(SimDuration::ZERO) += elapsed;
+            if Some(dev) == self.cpu_device {
+                let delta = stamp.icount.wrapping_sub(last.icount) as u64;
+                *self.counters.counts_per.entry(prev_label).or_insert(0) += delta;
             }
         }
-        self.last_change.insert(dev, stamp);
     }
 
     fn record(&mut self, entry: LogEntry) {
@@ -644,6 +651,91 @@ mod tests {
         assert!(c.ram_bytes() > 0);
         assert_eq!(c.times().count(), 2);
         assert_eq!(c.all_counts().count(), 2);
+    }
+
+    #[test]
+    fn counters_and_both_modes_agree_on_a_random_activity_sequence() {
+        let (cat, _cpu_sink, _leds) = blink_catalog();
+        let run = |mode| {
+            let mut rt = QuantoRuntime::new(
+                NodeId(1),
+                &cat,
+                RuntimeConfig {
+                    mode,
+                    ..RuntimeConfig::default()
+                },
+            );
+            // Interleave kinds so single-device ids are not contiguous.
+            let timer = rt.register_multi_device("timer");
+            let cpu = rt.register_single_device("cpu");
+            let radio = rt.register_single_device("radio");
+            let flash = rt.register_single_device("flash");
+            rt.set_cpu_device(cpu);
+            let labels = [
+                rt.registry().idle(),
+                rt.registry_mut().define_app("A"),
+                rt.registry_mut().define_app("B"),
+                rt.registry_mut().define_proxy("pxy"),
+            ];
+            let singles = [cpu, radio, flash];
+            // The hashed last-change bookkeeping the dense table replaced,
+            // kept here as the oracle for what Counters must accumulate.
+            let mut last: HashMap<DeviceId, Stamp> = HashMap::new();
+            let mut oracle = OnlineCounters::default();
+            // A fixed xorshift stream: the same sequence for every mode.
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            let (mut t, mut ic) = (0u64, 0u32);
+            for _ in 0..2_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                t += x % 50;
+                ic = ic.wrapping_add((x >> 8) as u32 % 9);
+                let dev = singles[(x >> 16) as usize % singles.len()];
+                let label = labels[(x >> 24) as usize % labels.len()];
+                let (now, prev) = (stamp(t, ic), rt.activity_get(dev));
+                let changed = match (x >> 32) % 4 {
+                    0 => rt.activity_bind(now, dev, label),
+                    1 => rt.activity_transfer(now, cpu, dev),
+                    _ => rt.activity_set(now, dev, label),
+                };
+                if changed {
+                    if let Some(l) = last.insert(dev, now) {
+                        *oracle.time_per.entry((dev, prev)).or_default() +=
+                            now.time.saturating_duration_since(l.time);
+                        if dev == cpu {
+                            *oracle.counts_per.entry(prev).or_default() +=
+                                now.icount.wrapping_sub(l.icount) as u64;
+                        }
+                    }
+                }
+                if (x >> 40).is_multiple_of(16) {
+                    let _ = rt.multi_add(stamp(t, ic), timer, label);
+                }
+            }
+            let sorted = |c: &OnlineCounters| {
+                let mut times: Vec<_> = c.times().collect();
+                times.sort();
+                let mut counts: Vec<_> = c.all_counts().collect();
+                counts.sort();
+                (times, counts)
+            };
+            let (times, counts) = sorted(rt.counters());
+            (held_log(&rt), times, counts, sorted(&oracle))
+        };
+        let (log_only, no_times, no_counts, _) = run(AccountingMode::Log);
+        let (counters_log, times, counts, oracle) = run(AccountingMode::Counters);
+        let (both_log, both_times, both_counts, _) = run(AccountingMode::Both);
+        assert!(log_only.len() > 1_000);
+        assert_eq!(both_log, log_only, "Both logs exactly what Log logs");
+        assert!(times.len() > 3 && counts.len() > 3);
+        assert_eq!((&times, &counts), (&oracle.0, &oracle.1));
+        assert_eq!(
+            both_times, times,
+            "Both counts exactly what Counters counts"
+        );
+        assert_eq!(both_counts, counts);
+        assert!(counters_log.is_empty() && no_times.is_empty() && no_counts.is_empty());
     }
 
     #[test]

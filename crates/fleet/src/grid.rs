@@ -41,7 +41,8 @@
 //! Cell keys: `app` (`lpl`, `blink`, `bounce`, `bounce_pairs`, `idle`),
 //! `name` (a template over `{seed}`, `{channel}`, `{seconds}`, `{medium}`,
 //! `{nodes}`, `{pairs}`), the axes `seeds` (`1..8` or `1, 2, 7`),
-//! `channels`, `seconds` (a list makes it an axis), `medium` (a list of
+//! `channels`, `seconds` (a list makes it an axis; every duration, like
+//! the `[grid]` default, is capped at one simulated day), `medium` (a list of
 //! kinds makes it an axis), the app knobs `interference` (LPL duty) and
 //! `pairs`, and the medium geometry: `range_m`, `positions`
 //! (`id:x,y ...`), `placement` (`line SPACING GAP`, resolved against
@@ -82,6 +83,9 @@
 use crate::scenario::{GeometrySpec, MediumSpec, PathLossSpec, Scenario, TraceSpec};
 use hw_model::SimDuration;
 use std::fmt;
+
+/// The longest duration a grid or cell may ask for: one simulated day.
+pub const MAX_SECONDS: f64 = 86_400.0;
 
 /// Why a grid file failed to parse or expand.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -235,6 +239,8 @@ pub struct CellSpec {
     pub channels: Vec<u8>,
     /// The duration axis, seconds; empty inherits the grid default.
     pub seconds: Vec<f64>,
+    /// The line the `seconds` axis was given on (for error messages).
+    pub seconds_line: Option<usize>,
     /// The medium axis; empty means ideal.
     pub mediums: Vec<MediumKind>,
     /// Geometry shared by the cell's geometric mediums.
@@ -258,6 +264,9 @@ pub struct GridSpec {
     pub name: String,
     /// Default cell duration, seconds.
     pub seconds: f64,
+    /// The line the default duration was given on (for error messages);
+    /// `None` when defaulted or overridden.
+    pub seconds_line: Option<usize>,
     /// The cells, in file order.
     pub cells: Vec<CellSpec>,
 }
@@ -272,6 +281,7 @@ impl GridSpec {
     /// `seconds` keep them) — the `--seconds` override.
     pub fn override_seconds(&mut self, seconds: f64) {
         self.seconds = seconds;
+        self.seconds_line = None;
     }
 
     /// Replaces every non-empty seed axis with `1..=n` — the `--seeds`
@@ -299,12 +309,7 @@ impl GridSpec {
     /// order.  Duplicate scenario names are an error — they would silently
     /// shadow each other in report lookups.
     pub fn expand(&self) -> Result<Vec<Scenario>, GridError> {
-        if self.seconds <= 0.0 {
-            return Err(GridError::general(format!(
-                "grid seconds must be positive, got {}",
-                self.seconds
-            )));
-        }
+        check_seconds(self.seconds_line, "grid ", self.seconds)?;
         let mut batch = Vec::new();
         for cell in &self.cells {
             cell.expand_into(self.seconds, &mut batch)?;
@@ -442,10 +447,8 @@ impl CellSpec {
         } else {
             self.mediums.clone()
         };
-        for secs in &durations {
-            if *secs <= 0.0 {
-                return Err(self.err(format!("seconds must be positive, got {secs}")));
-            }
+        for &secs in &self.seconds {
+            check_seconds(self.seconds_line, &format!("cell {:?}: ", self.label), secs)?;
         }
         for &seed in &seeds {
             for &channel in &channels {
@@ -567,6 +570,7 @@ struct RawCell {
     seeds: Vec<u64>,
     channels: Vec<u8>,
     seconds: Vec<f64>,
+    seconds_line: Option<usize>,
     interference: Option<f64>,
     pairs: Option<u16>,
     mediums: Vec<MediumKind>,
@@ -589,6 +593,7 @@ impl RawCell {
             seeds: Vec::new(),
             channels: Vec::new(),
             seconds: Vec::new(),
+            seconds_line: None,
             interference: None,
             pairs: None,
             mediums: Vec::new(),
@@ -703,6 +708,7 @@ impl RawCell {
             seeds: self.seeds,
             channels: self.channels,
             seconds: self.seconds,
+            seconds_line: self.seconds_line,
             mediums: self.mediums,
             range_m: self.range_m,
             placement,
@@ -721,7 +727,7 @@ enum Section {
 
 struct Parser {
     name: Option<String>,
-    seconds: Option<f64>,
+    seconds: Option<(f64, usize)>,
     cells: Vec<CellSpec>,
     section: Section,
 }
@@ -792,7 +798,7 @@ impl Parser {
                 }
                 Section::Grid => match key {
                     "name" => self.name = Some(value.to_string()),
-                    "seconds" => self.seconds = Some(parse_f64(n, key, value)?),
+                    "seconds" => self.seconds = Some((parse_f64(n, key, value)?, n)),
                     other => {
                         return Err(GridError::at(
                             n,
@@ -806,7 +812,8 @@ impl Parser {
         self.close_section()?;
         let grid = GridSpec {
             name: self.name.unwrap_or_else(|| "grid".to_string()),
-            seconds: self.seconds.unwrap_or(14.0),
+            seconds: self.seconds.map_or(14.0, |(secs, _)| secs),
+            seconds_line: self.seconds.map(|(_, n)| n),
             cells: self.cells,
         };
         if grid.cells.is_empty() {
@@ -837,7 +844,8 @@ fn parse_cell_key(cell: &mut RawCell, n: usize, key: &str, value: &str) -> Resul
             cell.seconds = value
                 .split(',')
                 .map(|tok| parse_f64(n, key, tok.trim()))
-                .collect::<Result<_, _>>()?
+                .collect::<Result<_, _>>()?;
+            cell.seconds_line = Some(n);
         }
         "interference" => {
             let duty = parse_f64(n, key, value)?;
@@ -931,6 +939,23 @@ fn parse_cell_key(cell: &mut RawCell, n: usize, key: &str, value: &str) -> Resul
         }
     }
     Ok(())
+}
+
+/// The one duration check, shared by the grid default (and so the
+/// `--seconds` override) and every cell's duration axis.  `what` prefixes
+/// the message (`"grid "` or `"cell \"x\": "`).
+fn check_seconds(line: Option<usize>, what: &str, secs: f64) -> Result<(), GridError> {
+    let problem = if secs <= 0.0 {
+        "must be positive".to_string()
+    } else if secs > MAX_SECONDS {
+        format!("must be at most {MAX_SECONDS} (one simulated day)")
+    } else {
+        return Ok(());
+    };
+    Err(GridError {
+        line,
+        message: format!("{what}seconds {problem}, got {secs}"),
+    })
 }
 
 fn parse_f64(n: usize, key: &str, value: &str) -> Result<f64, GridError> {
@@ -1228,6 +1253,41 @@ mod tests {
     }
 
     const BOUNCE_DISK: &str = "[grid]\nseconds = 1\n[cell.b]\napp = bounce\nmedium = unit_disk\n";
+
+    #[test]
+    fn durations_must_be_positive_and_at_most_a_day() {
+        for secs in ["-1", "0", "86400.5", "100000000"] {
+            let why = if secs.starts_with('-') || secs == "0" {
+                "must be positive"
+            } else {
+                "at most 86400"
+            };
+            expect_error_at(
+                &format!("[grid]\nseconds = {secs}\n[cell.x]\napp = idle\n"),
+                why,
+                2,
+            );
+            expect_error_at(
+                &format!("[grid]\nseconds = 1\n[cell.x]\napp = idle\nseconds = 2, {secs}\n"),
+                why,
+                5,
+            );
+        }
+        // Exactly one day is allowed, in a cell axis and as the default.
+        let text = "[grid]\nseconds = 86400\n[cell.x]\napp = idle\nseconds = 1, 86400\n";
+        assert_eq!(GridSpec::parse(text).unwrap().expand().unwrap().len(), 2);
+        // The `--seconds` override goes through the same check, with no
+        // file line to point at.
+        let mut grid = GridSpec::parse("[grid]\nseconds = 1\n[cell.x]\napp = idle\n").unwrap();
+        grid.override_seconds(1e8);
+        let err = grid
+            .expand()
+            .expect_err("an overridden 1e8 s default must fail");
+        assert!(err.message.contains("at most 86400"), "{err}");
+        assert_eq!(err.line, None);
+        grid.override_seconds(0.0);
+        assert!(grid.expand().is_err());
+    }
 
     #[test]
     fn negative_and_zero_range_m_are_rejected() {

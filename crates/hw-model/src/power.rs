@@ -137,22 +137,51 @@ pub struct EnergyAccumulator {
     state: StateVector,
     now: SimTime,
     total: Energy,
-    /// Per-sink attribution, dense-indexed by `SinkId` — `advance` runs on
-    /// every instrumentation stamp, so this must not hash.
-    per_sink: Vec<Energy>,
+    /// `model.true_power(&state)`, refolded whenever a sink's state actually
+    /// changes so `advance` and `current_power` never re-sum the vector.
+    power: Power,
+    /// Per-sink draw and attribution, dense-indexed by `SinkId` — `advance`
+    /// runs on every instrumentation stamp, so this must not hash.
+    sinks: Vec<SinkLedger>,
+}
+
+/// One sink's cached draw in its current state and its energy so far.
+#[derive(Debug, Clone, Copy)]
+struct SinkLedger {
+    /// `true_state_current` for the sink's current state.
+    current: Current,
+    /// `current × supply`.
+    power: Power,
+    energy: Energy,
+}
+
+impl SinkLedger {
+    fn new(model: &PowerModel, sink: SinkId, state: StateIndex, energy: Energy) -> Self {
+        let current = model.true_state_current(sink, state);
+        SinkLedger {
+            current,
+            power: current * model.supply(),
+            energy,
+        }
+    }
 }
 
 impl EnergyAccumulator {
     /// Creates an accumulator starting at time zero in the boot state.
     pub fn new(model: Arc<PowerModel>) -> Self {
         let state = StateVector::boot(model.catalog());
-        let per_sink = vec![Energy::ZERO; state.len()];
+        let sinks = state
+            .iter()
+            .map(|(sink, s)| SinkLedger::new(&model, sink, s, Energy::ZERO))
+            .collect();
+        let power = model.true_power(&state);
         EnergyAccumulator {
             model,
             state,
             now: SimTime::ZERO,
             total: Energy::ZERO,
-            per_sink,
+            power,
+            sinks,
         }
     }
 
@@ -178,7 +207,7 @@ impl EnergyAccumulator {
 
     /// The current true aggregate power draw.
     pub fn current_power(&self) -> Power {
-        self.model.true_power(&self.state)
+        self.power
     }
 
     /// Advances the integration clock to `to`, charging energy for the
@@ -191,13 +220,13 @@ impl EnergyAccumulator {
             return;
         }
         let dur = to.duration_since(self.now);
-        for (sink, state) in self.state.iter() {
-            let e = (self.model.true_state_current(sink, state) * self.model.supply()) * dur;
+        for s in &mut self.sinks {
+            let e = s.power * dur;
             if e != Energy::ZERO {
-                self.per_sink[sink.as_usize()] += e;
+                s.energy += e;
             }
         }
-        self.total += self.model.energy_over(&self.state, dur);
+        self.total += self.power * dur;
         self.now = to;
     }
 
@@ -220,17 +249,26 @@ impl EnergyAccumulator {
             self.now
         );
         self.advance(at);
-        self.state.set_state(sink, state)
+        let prev = self.state.set_state(sink, state);
+        if prev != state {
+            let ledger = &mut self.sinks[sink.as_usize()];
+            *ledger = SinkLedger::new(&self.model, sink, state, ledger.energy);
+            // A full refold in sink order, not "minus old plus new": the
+            // cached draw must carry the bits `model.true_power` computes.
+            let current: Current = self.sinks.iter().map(|s| s.current).sum();
+            self.power = current * self.model.supply();
+        }
+        prev
     }
 
     /// Returns the ground-truth energy breakdown accumulated so far.
     pub fn breakdown(&self) -> EnergyBreakdown {
         let per_sink = self
-            .per_sink
+            .sinks
             .iter()
             .enumerate()
-            .filter(|(_, e)| **e != Energy::ZERO)
-            .map(|(i, e)| (SinkId(i as u16), *e))
+            .filter(|(_, s)| s.energy != Energy::ZERO)
+            .map(|(i, s)| (SinkId(i as u16), s.energy))
             .collect();
         EnergyBreakdown {
             total: self.total,

@@ -4,7 +4,8 @@ use proptest::prelude::*;
 use quanto::analysis::{self, PowerInterval, RegressionOptions, StateCombination};
 use quanto::hw_model::catalog::{blink_catalog, hydrowatch, led_state};
 use quanto::hw_model::{
-    Energy, PowerModel, SimDuration, SimTime, SinkId, StateIndex, StateVector, Voltage, MAX_SINKS,
+    Energy, EnergyAccumulator, NoiseModel, PowerModel, SimDuration, SimTime, SinkId, StateIndex,
+    StateVector, Voltage, MAX_SINKS,
 };
 use quanto::quanto_core::{
     ActivityId, ActivityLabel, DeviceId, EntryKind, LogEntry, NodeId, OverflowPolicy, RamLogger,
@@ -62,7 +63,7 @@ proptest! {
                     (i % 3) as u16,
                 ));
             }
-            prop_assert!(logger.buffered().len() <= capacity);
+            prop_assert!(logger.ram_bytes_used() <= logger.capacity_bytes());
             prop_assert_eq!(logger.offered(), n as u64);
             match policy {
                 OverflowPolicy::Flush => prop_assert_eq!(logger.len(), n),
@@ -70,6 +71,15 @@ proptest! {
                     prop_assert_eq!(logger.len(), n.min(capacity));
                 }
             }
+            // Survivors come out oldest first: Stop keeps the first
+            // `capacity`, Wrap the last `capacity`, Flush everything.
+            let held: Vec<u32> = logger.chunks().flatten().map(|e| e.icount).collect();
+            let kept = match policy {
+                OverflowPolicy::Stop => 0..n.min(capacity),
+                OverflowPolicy::Wrap => n.saturating_sub(capacity)..n,
+                OverflowPolicy::Flush => 0..n,
+            };
+            prop_assert_eq!(held, kept.map(|i| i as u32).collect::<Vec<_>>());
         }
     }
 
@@ -91,6 +101,67 @@ proptest! {
         let bd = acc.breakdown();
         let sum: f64 = bd.per_sink.values().map(|e| e.as_micro_joules()).sum();
         prop_assert!((sum - bd.total.as_micro_joules()).abs() < 1e-6);
+    }
+
+    /// The accumulator's cached draws are bit-exact: for random `set_state`
+    /// (same-state and same-time calls included) and `advance` sequences on
+    /// biased HydroWatch and Blink models, the total, the current power and
+    /// every sink's energy equal, bit for bit, a reference that re-derives
+    /// every draw and re-sums the whole state vector on each advance.
+    #[test]
+    fn energy_accumulator_matches_full_resum_reference(
+        noise_seed in 0u64..1_000,
+        ops in prop::collection::vec((0usize..64, 0usize..8, 0u64..3_000, 0u8..4), 1..120),
+    ) {
+        let catalogs = [hydrowatch().0, blink_catalog().0];
+        for cat in catalogs {
+            let model = Arc::new(PowerModel::new(
+                Arc::new(cat),
+                Voltage::from_volts(3.0),
+                NoiseModel::realistic(noise_seed),
+            ));
+            let mut acc = EnergyAccumulator::new(model.clone());
+            let mut reference = FullResumAccumulator::new(model.clone());
+            let cat = model.catalog().clone();
+            let mut t = 0u64;
+            for &(sink, state, dt, kind) in &ops {
+                let sink = SinkId((sink % cat.sink_count()) as u16);
+                let state = match kind {
+                    // Re-assert the sink's current state: must change nothing.
+                    0 => acc.state().state(sink),
+                    _ => StateIndex((state % cat.sink(sink).state_count()) as u8),
+                };
+                // A quarter of the steps land at the same instant.
+                if dt % 4 != 0 {
+                    t += dt;
+                }
+                let to = SimTime::from_micros(t);
+                if kind == 3 {
+                    acc.advance(to);
+                    reference.advance(to);
+                } else {
+                    prop_assert_eq!(acc.set_state(to, sink, state), reference.set_state(to, sink, state));
+                }
+                prop_assert_eq!(
+                    acc.current_power().as_micro_watts().to_bits(),
+                    model.true_power(&reference.state).as_micro_watts().to_bits()
+                );
+            }
+            acc.advance(SimTime::from_micros(t + 1_000));
+            reference.advance(SimTime::from_micros(t + 1_000));
+            prop_assert_eq!(
+                acc.total_energy().as_micro_joules().to_bits(),
+                reference.total.as_micro_joules().to_bits()
+            );
+            let bd = acc.breakdown();
+            prop_assert_eq!(bd.total.as_micro_joules().to_bits(), reference.total.as_micro_joules().to_bits());
+            for (i, e) in reference.per_sink.iter().enumerate() {
+                prop_assert_eq!(
+                    bd.sink(SinkId(i as u16)).as_micro_joules().to_bits(),
+                    e.as_micro_joules().to_bits()
+                );
+            }
+        }
     }
 
     /// The regression recovers per-LED power draws (within quantization
@@ -369,5 +440,50 @@ proptest! {
         prop_assert_eq!(ca.cmp(&cb), a.cmp(&b));
         prop_assert_eq!(ca == cb, a == b);
         prop_assert_eq!(ca.partial_cmp(&cb), a.partial_cmp(&b));
+    }
+}
+
+/// The accumulator as it integrated before it cached draws: each advance
+/// looks up every sink's current, multiplies it out, and re-sums the whole
+/// state vector for the total.
+struct FullResumAccumulator {
+    model: Arc<PowerModel>,
+    state: StateVector,
+    now: SimTime,
+    total: Energy,
+    per_sink: Vec<Energy>,
+}
+
+impl FullResumAccumulator {
+    fn new(model: Arc<PowerModel>) -> Self {
+        let state = StateVector::boot(model.catalog());
+        let per_sink = vec![Energy::ZERO; state.len()];
+        FullResumAccumulator {
+            model,
+            state,
+            now: SimTime::ZERO,
+            total: Energy::ZERO,
+            per_sink,
+        }
+    }
+
+    fn advance(&mut self, to: SimTime) {
+        if to <= self.now {
+            return;
+        }
+        let dur = to.duration_since(self.now);
+        for (sink, state) in self.state.iter() {
+            let e = (self.model.true_state_current(sink, state) * self.model.supply()) * dur;
+            if e != Energy::ZERO {
+                self.per_sink[sink.as_usize()] += e;
+            }
+        }
+        self.total += self.model.energy_over(&self.state, dur);
+        self.now = to;
+    }
+
+    fn set_state(&mut self, at: SimTime, sink: SinkId, state: StateIndex) -> StateIndex {
+        self.advance(at);
+        self.state.set_state(sink, state)
     }
 }
