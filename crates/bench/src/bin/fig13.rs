@@ -2,12 +2,13 @@
 //! energy, radio duty cycle, false-positive rate and average power on
 //! 802.15.4 channel 17 (under the access point) versus channel 26 (clear).
 //!
-//! The two channels are independent scenarios, so they run as a fleet batch
-//! sharded across worker threads — the data-driven form of what used to be
-//! two back-to-back sequential runs (and byte-identical to them).
+//! The two channels are the fleet's declarative comparison batch, each run
+//! through the materializing `ScenarioResult::execute` because the LPL
+//! analysis re-reads the raw logs (byte-identical to the sequential
+//! `run_lpl_experiment` driver).
 
 use analysis::{pct, TextTable};
-use quanto_fleet::{scenarios, FleetRunner};
+use quanto_fleet::{scenarios, ScenarioResult};
 
 fn main() {
     let duration = quanto_bench::duration_from_args(14);
@@ -15,13 +16,11 @@ fn main() {
         "Figure 13 — 802.11 interference on low-power listening",
         "Section 4.3",
     );
-    // retain_raw: the LPL analysis below re-reads the raw logs.
-    let mut results = FleetRunner::host_parallel()
-        .retain_raw()
-        .run(scenarios::lpl_comparison(duration))
-        .into_results();
-    let ch17 = scenarios::into_lpl_run(results.remove(0));
-    let ch26 = scenarios::into_lpl_run(results.remove(0));
+    let mut runs = scenarios::lpl_comparison(duration)
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| scenarios::into_lpl_run(ScenarioResult::execute(i, s)));
+    let (ch17, ch26) = (runs.next().unwrap(), runs.next().unwrap());
 
     let mut summary = TextTable::new(vec![
         "Channel",

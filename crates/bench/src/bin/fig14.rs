@@ -5,7 +5,7 @@
 
 use analysis::{episode_durations, TextTable};
 use hw_model::catalog::radio_rx_state;
-use quanto_fleet::{scenarios, FleetRunner, Scenario};
+use quanto_fleet::{scenarios, Scenario, ScenarioResult};
 
 fn main() {
     let duration = quanto_bench::duration_from_args(14);
@@ -13,13 +13,13 @@ fn main() {
         "Figure 14 — normal vs false-positive LPL wake-ups",
         "Section 4.3",
     );
-    // A one-scenario fleet batch: the same declarative spec the sweeps use,
-    // byte-identical to the old sequential run_lpl_experiment call.
-    // retain_raw: the wake-up classification re-reads the raw log.
-    let report = FleetRunner::sequential()
-        .retain_raw()
-        .run(vec![Scenario::lpl(17, 0.18, duration)]);
-    let run = scenarios::into_lpl_run(report.into_results().remove(0));
+    // The same declarative spec the sweeps use, run through the
+    // materializing call because the wake-up classification re-reads the
+    // raw log (byte-identical to the old sequential run_lpl_experiment).
+    let run = scenarios::into_lpl_run(ScenarioResult::execute(
+        0,
+        Scenario::lpl(17, 0.18, duration),
+    ));
     let ctx = &run.context;
     let out = &run.output;
 

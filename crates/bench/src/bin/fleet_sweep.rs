@@ -6,8 +6,8 @@
 //! through `--grid`), and `--grid FILE` runs any user-composed grid.
 //! Scenarios execute on the fleet's zero-materialization path: each node's
 //! log streams through a `LogSink` → incremental-builder chain *during* the
-//! run, so no scenario's log is ever materialized and the peak raw-entry
-//! retention of a whole sweep is zero.  Progress streams over a channel as
+//! run, so no scenario's log is ever materialized.  Progress streams over a
+//! channel as
 //! scenarios merge, and the merged summary table (or, with `--json`, a
 //! machine-readable JSON document) prints at the end.
 //!
@@ -86,11 +86,7 @@
 //! exceeds 1.15× the 1-thread wall (the merge-loop health gate: workers
 //! must not park on the reorder-window backpressure gate when in window —
 //! `--obs` attributes any stall via the `runner.backpressure_stalls` and
-//! `runner.merge_wakeups` counters), and finally runs the retention
-//! gates: a 64-scenario batch
-//! must hold *zero* raw entries on the default streaming path, and must
-//! stay under a quarter of its entries on the materializing batch-digest
-//! path (the reorder-window bound).
+//! `runner.merge_wakeups` counters).
 //!
 //! Note on the baseline: the `fleet/sweep_smoke_t4` wall-clock depends on
 //! the recording host's core count, which the single-core `calibration/spin`
@@ -393,57 +389,6 @@ fn run_shards_timed(
     Ok((report.digest(), report.wall_clock))
 }
 
-/// The streaming-retention gates.  The default zero-materialization path
-/// must hold *no* raw entries at any instant — any nonzero peak means
-/// something re-materialized a log.  The batch-digest path (kept for the
-/// pinned pre-refactor digest) must stay bounded by the reorder window: a
-/// quarter of the batch is generous next to the real window of ~4
-/// scenarios, but far below what a re-buffering regression would retain.
-fn smoke_retention_gate() -> Result<(), String> {
-    let seeds: Vec<u64> = (1..=32).collect();
-    let batch = scenarios::lpl_grid(
-        &seeds,
-        &[17, 26],
-        0.18,
-        hw_model::SimDuration::from_secs(60),
-    );
-    assert_eq!(batch.len(), 64);
-    let streamed = FleetRunner::new(4).run(batch.clone());
-    let total = streamed.total_log_entries();
-    println!(
-        "Retention (stream): 64-scenario batch produced {total} entries, peak held {}",
-        streamed.peak_entries_held()
-    );
-    if total == 0 {
-        return Err("retention gate batch produced no log entries".into());
-    }
-    if streamed.peak_entries_held() != 0 {
-        return Err(format!(
-            "zero-materialization path held {} raw entries — something is \
-             re-materializing scenario logs",
-            streamed.peak_entries_held()
-        ));
-    }
-    if streamed.results.iter().any(|r| r.has_raw()) {
-        return Err("raw NodeRunOutput retained on the streaming path".into());
-    }
-    let batched = FleetRunner::new(4).batch_digest().run(batch);
-    let peak = batched.peak_entries_held();
-    let bound = batched.total_log_entries() / 4;
-    println!(
-        "Retention (batch-digest): peak held {peak} of {} ({:.1} %)",
-        batched.total_log_entries(),
-        100.0 * peak as f64 / batched.total_log_entries().max(1) as f64
-    );
-    if peak == 0 || peak > bound {
-        return Err(format!(
-            "batch-digest peak {peak} outside (0, {bound}] — the reorder-window bound \
-             no longer holds"
-        ));
-    }
-    Ok(())
-}
-
 fn smoke(args: &Args) -> ExitCode {
     let batch = match built_in_grid(SMOKE_GRID, args).expand() {
         Ok(batch) => batch,
@@ -550,16 +495,11 @@ fn smoke(args: &Args) -> ExitCode {
         "Determinism: 2 shard processes × 2 threads fold the identical digest \
          ({digest_s2a:#018x}, {wall_s2:.1?})"
     );
-
-    if let Err(why) = smoke_retention_gate() {
-        eprintln!("fleet_sweep: RETENTION FAILURE — {why}");
-        return ExitCode::FAILURE;
-    }
     ExitCode::SUCCESS
 }
 
 /// `--stress-nodes N`: one N-node scenario through the heap scheduler and
-/// the zero-materialization path, gated on holding zero raw entries.
+/// the zero-materialization path, gated on streaming a nonempty log.
 fn stress_nodes(nodes: u32, args: &Args) -> ExitCode {
     let pairs = (nodes / 2) as u16;
     // Round like `GridSpec` expansion does, so `--stress-nodes --seconds X`
@@ -581,30 +521,21 @@ fn stress_nodes(nodes: u32, args: &Args) -> ExitCode {
     }
     let report = FleetRunner::new(args.threads).run(vec![scenario]);
     if args.json {
-        // The JSON document already carries total_log_entries,
-        // peak_entries_held and the digest; no extra stdout lines that
-        // would corrupt machine-readable output.
+        // The JSON document already carries total_log_entries and the
+        // digest; no extra stdout lines that would corrupt machine-readable
+        // output.
         println!("{}", report.summary_json());
     } else {
         println!("{}", report.summary_table());
         println!(
-            "Retention: {} entries streamed, peak held {} (digest {:#018x})",
+            "{} entries streamed (digest {:#018x})",
             report.total_log_entries(),
-            report.peak_entries_held(),
             report.digest()
         );
     }
     let total = report.total_log_entries();
     if total == 0 {
         eprintln!("fleet_sweep: STRESS FAILURE — the stress scenario produced no entries");
-        return ExitCode::FAILURE;
-    }
-    if report.peak_entries_held() != 0 {
-        eprintln!(
-            "fleet_sweep: RETENTION FAILURE — {} raw entries held on the \
-             zero-materialization path",
-            report.peak_entries_held()
-        );
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
@@ -674,7 +605,7 @@ fn run_mode(args: &Args) -> ExitCode {
     if args.smoke {
         quanto_bench::header(
             "fleet_sweep --smoke",
-            "determinism (all 4 medium kinds) + speedup + retention gates",
+            "determinism (all 4 medium kinds) + speedup gates",
         );
         return smoke(args);
     }
@@ -847,10 +778,8 @@ fn run_mode(args: &Args) -> ExitCode {
             );
         }
         println!(
-            "Raw entries: {} total, peak held {} (the zero-materialization path never \
-             holds a log).",
-            report.total_log_entries(),
-            report.peak_entries_held()
+            "Log entries: {} streamed (no log is ever materialized).",
+            report.total_log_entries()
         );
     }
     ExitCode::SUCCESS

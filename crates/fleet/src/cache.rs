@@ -19,10 +19,6 @@
 //! never a wrong digest — the `version` and `spec` fields self-invalidate
 //! stale formats and hash collisions with earlier layouts.
 //!
-//! Only the zero-materialization retention mode ([`crate::Retention::Stream`])
-//! consults the cache: the batch modes exist to fold the legacy pinned
-//! digest from raw entry bytes, which no summary record can reproduce.
-//!
 //! # Example
 //!
 //! ```

@@ -34,9 +34,8 @@
 //! The coordinator reorders results by submission index and folds them
 //! through the same `ReportAccumulator` the in-process
 //! runner uses, so [`crate::FleetReport::digest`] is byte-identical at any
-//! shard count × thread count.  Dist runs always use
-//! [`Retention::Stream`]; the legacy pinned digest (raw entry bytes) is
-//! not transportable.
+//! shard count × thread count.  Shards stream like every fleet path, so
+//! only these O(1) records cross the wire — never a raw log.
 //!
 //! **Fault tolerance.**  A handler that loses its connection mid-chunk
 //! pushes the chunk's unreturned indices back onto the *front* of the

@@ -14,15 +14,16 @@
 //! * [`FleetRunner`] — shards an arbitrary batch of scenarios across worker
 //!   threads (each worker drives its own independent `os_sim::Engine`),
 //!   streams completions through a merge loop that folds the digest(s), and
-//!   emits per-scenario [`FleetProgress`] events mid-sweep.  The default
-//!   [`Retention::Stream`] mode feeds every node's log through a
-//!   [`quanto_core::LogSink`] → incremental-builder chain *during* the run,
-//!   so raw logs are never materialized (opt into [`Retention::Batch`] for
-//!   the legacy pinned digest, or [`FleetRunner::retain_raw`] for raw
-//!   re-analysis);
+//!   emits per-scenario [`FleetProgress`] events mid-sweep.  It has one
+//!   execution mode: every node's log feeds a [`quanto_core::LogSink`] →
+//!   incremental-builder chain *during* the run, so no raw log is ever
+//!   materialized;
 //! * [`FleetReport`] — the merged, submission-ordered results, fed through
 //!   the `analysis` crate's *incremental* interval builders (duty cycle,
 //!   energy, regression) and digested for bit-reproducibility checks;
+//! * [`ScenarioResult::execute`] — the one materializing call: a single
+//!   scenario run with every log collected, returned next to its result as
+//!   [`RawScenarioOutputs`] for the figure binaries and the tests;
 //! * [`scenarios`] — the paper's experiment grids expressed as scenario
 //!   batches, plus adapters back into the `quanto-apps` result types.
 //!
@@ -59,10 +60,10 @@ pub use cache::{CacheStats, ResultCache, CACHE_FORMAT_VERSION};
 pub use dist::{Coordinator, DistError, DistOptions, GridOverrides};
 pub use net_sim::DeliveryCounters;
 pub use report::{
-    CounterAccessError, FleetReport, NodeStreamMeta, NodeSummary, RawAccessError,
-    RawScenarioOutputs, ReportAccumulator, ScenarioResult,
+    CounterAccessError, FleetReport, NodeStreamMeta, NodeSummary, RawScenarioOutputs,
+    ReportAccumulator, ScenarioResult,
 };
-pub use runner::{execute_or_cached, execute_or_cached_in, FleetProgress, FleetRunner, Retention};
+pub use runner::{execute_or_cached_in, FleetProgress, FleetRunner, Retention};
 pub use scenario::{
     AppSpec, GeometrySpec, MediumSpec, PathLossSpec, Scenario, TopologySpec, TraceSpec,
     SPEC_DIGEST_VERSION,
@@ -72,7 +73,7 @@ pub use workspace::SimWorkspace;
 /// The paper's experiment grids as scenario batches, and adapters from
 /// scenario results back into the `quanto-apps` result types.
 pub mod scenarios {
-    use crate::report::ScenarioResult;
+    use crate::report::{RawScenarioOutputs, ScenarioResult};
     use crate::scenario::{GeometrySpec, MediumSpec, PathLossSpec, Scenario};
     use hw_model::SimDuration;
     use quanto_apps::{analyze_lpl, blink_run_from_parts, BlinkRun, LplRun};
@@ -164,21 +165,19 @@ pub mod scenarios {
             .named(format!("path_loss_stress_{}n_seed{seed}", 2 * pairs as u32))
     }
 
-    /// Converts a finished LPL scenario into the `quanto-apps` [`LplRun`]
-    /// (duty cycle, wake-up classification, cumulative energy) the Figure 13
-    /// and 14 harnesses consume.  Needs raw outputs — run the batch with
-    /// [`crate::FleetRunner::retain_raw`].
-    pub fn into_lpl_run(result: ScenarioResult) -> LplRun {
-        let channel = result.scenario.channel;
-        let (_, output, context) = result.into_single_node_parts();
-        analyze_lpl(channel, output, context)
+    /// Converts a materialized LPL run ([`ScenarioResult::execute`]) into
+    /// the `quanto-apps` [`LplRun`] (duty cycle, wake-up classification,
+    /// cumulative energy) the Figure 13 and 14 harnesses consume.
+    pub fn into_lpl_run((result, raw): (ScenarioResult, RawScenarioOutputs)) -> LplRun {
+        let (_, output, context) = raw.into_single_node_parts();
+        analyze_lpl(result.scenario.channel, output, context)
     }
 
-    /// Converts a finished Blink scenario into the `quanto-apps`
-    /// [`BlinkRun`] the calibration and Table 3 profiling consume.  Needs
-    /// raw outputs — run the batch with [`crate::FleetRunner::retain_raw`].
-    pub fn into_blink_run(result: ScenarioResult) -> BlinkRun {
-        let (id, output, context) = result.into_single_node_parts();
+    /// Converts a materialized Blink run ([`ScenarioResult::execute`]) into
+    /// the `quanto-apps` [`BlinkRun`] the calibration and Table 3 profiling
+    /// consume.
+    pub fn into_blink_run((_, raw): (ScenarioResult, RawScenarioOutputs)) -> BlinkRun {
+        let (id, output, context) = raw.into_single_node_parts();
         blink_run_from_parts(id, output, context)
     }
 }
@@ -193,12 +192,12 @@ mod tests {
     #[test]
     fn fleet_lpl_comparison_matches_sequential_driver() {
         let duration = SimDuration::from_secs(4);
-        let report = FleetRunner::new(2)
-            .retain_raw()
-            .run(scenarios::lpl_comparison(duration));
-        let mut results = report.into_results();
-        let ch17_fleet = scenarios::into_lpl_run(results.remove(0));
-        let ch26_fleet = scenarios::into_lpl_run(results.remove(0));
+        let mut runs = scenarios::lpl_comparison(duration)
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| scenarios::into_lpl_run(ScenarioResult::execute(i, s)));
+        let ch17_fleet = runs.next().unwrap();
+        let ch26_fleet = runs.next().unwrap();
         let ch17_seq = quanto_apps::run_lpl_experiment(17, duration, 0.18);
         let ch26_seq = quanto_apps::run_lpl_experiment(26, duration, 0.18);
         assert_eq!(ch17_fleet.output.log, ch17_seq.output.log);
@@ -212,10 +211,7 @@ mod tests {
     #[test]
     fn fleet_blink_scenario_feeds_the_profile_pipeline() {
         let duration = SimDuration::from_secs(16);
-        let report = FleetRunner::sequential()
-            .retain_raw()
-            .run(vec![Scenario::blink(duration)]);
-        let run = scenarios::into_blink_run(report.into_results().remove(0));
+        let run = scenarios::into_blink_run(ScenarioResult::execute(0, Scenario::blink(duration)));
         let profile = quanto_apps::blink_profile_from_run(run);
         assert!(profile.log_entries > 100);
         assert!(profile.reconstruction_error < 0.05);

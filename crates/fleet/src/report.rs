@@ -1,28 +1,23 @@
 //! Per-scenario results and the merged fleet report.
 //!
-//! Since the in-run streaming refactor the default execution path is
-//! *zero-materialization*: every node gets a [`quanto_core::LogSink`] that
-//! drives the incremental analysis builders (`TimeUnwrapper` →
-//! `IntervalBuilder`, plus a `SegmentBuilder` over the CPU device) and a
-//! [`StreamDigest`] *while the simulation runs*, so a scenario's
-//! [`NodeRunOutput::log`] is never built at all.  What survives per node is
-//! O(1): the summary, the entry count and the FNV digest over the entry
-//! stream ([`NodeStreamMeta`]).
+//! Every fleet path is *zero-materialization*: every node gets a
+//! [`quanto_core::LogSink`] that drives the incremental analysis builders
+//! (`TimeUnwrapper` → `IntervalBuilder`, plus a `SegmentBuilder` over the
+//! CPU device) and a [`StreamDigest`] *while the simulation runs*, so a
+//! scenario's [`NodeRunOutput::log`] is never built at all.  What survives
+//! per node is O(1): the summary, the entry count and the FNV digest over
+//! the entry stream ([`NodeStreamMeta`]).  A [`ScenarioResult`] has no
+//! field that could hold a raw log, so "no sweep retains an entry" is a
+//! property of the type.
 //!
-//! Two digests exist because the legacy *pinned* digest folds each node's
-//! entry count **before** its entry bytes — and FNV-1a is not seekable, so
-//! that byte order cannot be reproduced from a stream whose length is only
-//! known at the end.  [`crate::FleetRunner`] retention modes pick the path:
+//! [`ScenarioResult::execute`] is the one materializing call: it runs a
+//! single scenario with every log collected and hands the raw outputs back
+//! next to the result, for the figure binaries that re-read raw logs and
+//! for the tests that prove the streamed entry bytes equal the
+//! materialized ones.
 //!
-//! * [`crate::Retention::Stream`] (default) — sinks attached, logs never
-//!   materialized, [`FleetReport::digest`] only;
-//! * [`crate::Retention::Batch`] — logs materialized per scenario and
-//!   dropped at merge (the pre-refactor default path), which additionally
-//!   yields the pinned [`FleetReport::pinned_digest`];
-//! * [`crate::Retention::Raw`] — everything retained for re-analysis.
-//!
-//! Both digests are folded in submission order during the merge, so each is
-//! identical at any thread count; the streamed entry digests are proven
+//! The report digest is folded in submission order during the merge, so it
+//! is identical at any thread count; the streamed entry digests are proven
 //! byte-identical to the materialized logs by the digest-pin tests.
 
 use crate::cache::CacheStats;
@@ -83,7 +78,7 @@ pub struct NodeStreamMeta {
     /// Which node.
     pub node: NodeId,
     /// Surviving entries that flowed through the node's sink (or sat in its
-    /// materialized log, on the batch paths).
+    /// materialized log, for [`ScenarioResult::execute`]).
     pub entries: u64,
     /// FNV-1a digest over the encoded bytes of every surviving entry, in
     /// log order (see [`quanto_core::StreamDigest`]).
@@ -97,48 +92,6 @@ pub struct NodeStreamMeta {
     /// Ground-truth total energy over the run.
     pub ground_truth_total: Energy,
 }
-
-/// Why a raw-output lookup on a [`ScenarioResult`] failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RawAccessError {
-    /// The runner summarized and dropped the raw outputs (the default).
-    /// Build the runner with [`crate::FleetRunner::retain_raw`] to keep them.
-    NotRetained {
-        /// The scenario whose raw outputs were requested.
-        scenario: String,
-    },
-    /// The scenario never ran a node with this id.
-    UnknownNode {
-        /// The scenario whose raw outputs were requested.
-        scenario: String,
-        /// The id that was asked for.
-        node: NodeId,
-        /// The ids the scenario did run.
-        known: Vec<NodeId>,
-    },
-}
-
-impl fmt::Display for RawAccessError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RawAccessError::NotRetained { scenario } => write!(
-                f,
-                "raw outputs of scenario {scenario:?} were summarized and dropped; \
-                 build the runner with FleetRunner::retain_raw() to keep them"
-            ),
-            RawAccessError::UnknownNode {
-                scenario,
-                node,
-                known,
-            } => write!(
-                f,
-                "scenario {scenario:?} ran no node {node}; it ran {known:?}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RawAccessError {}
 
 /// Why a delivery-counter lookup on a [`ScenarioResult`] failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,8 +116,8 @@ impl fmt::Display for CounterAccessError {
 
 impl std::error::Error for CounterAccessError {}
 
-/// The raw per-node data of one executed scenario, kept only when the runner
-/// retains it.
+/// The raw per-node data of one materialized scenario run — what
+/// [`ScenarioResult::execute`] returns next to the result.
 #[derive(Debug)]
 pub struct RawScenarioOutputs {
     /// Raw per-node outputs, in node insertion order.
@@ -173,8 +126,39 @@ pub struct RawScenarioOutputs {
     pub contexts: Vec<(NodeId, ExperimentContext)>,
 }
 
-/// One executed scenario: the analysis summary, plus the raw outputs while
-/// they are retained.
+impl RawScenarioOutputs {
+    /// The raw output of one node, if it ran in this scenario.
+    pub fn output(&self, id: NodeId) -> Option<&NodeRunOutput> {
+        self.outputs.iter().find(|(n, _)| *n == id).map(|(_, o)| o)
+    }
+
+    /// The analysis context of one node, if it ran in this scenario.
+    pub fn context(&self, id: NodeId) -> Option<&ExperimentContext> {
+        self.contexts.iter().find(|(n, _)| *n == id).map(|(_, c)| c)
+    }
+
+    /// Decomposes a single-node run into its owned parts
+    /// `(node, output, context)` — the shape the `quanto-apps` analyzers
+    /// take.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario ran more than one node.
+    pub fn into_single_node_parts(mut self) -> (NodeId, NodeRunOutput, ExperimentContext) {
+        assert_eq!(
+            self.outputs.len(),
+            1,
+            "into_single_node_parts on a {}-node scenario",
+            self.outputs.len(),
+        );
+        let (id, output) = self.outputs.remove(0);
+        let (_, context) = self.contexts.remove(0);
+        (id, output, context)
+    }
+}
+
+/// One executed scenario: the analysis summaries and the O(1) per-node
+/// stream residues.
 #[derive(Debug)]
 pub struct ScenarioResult {
     /// Position of the scenario in the submitted batch (reports are always
@@ -191,11 +175,8 @@ pub struct ScenarioResult {
     /// [`ScenarioResult::medium_counters`].
     medium_counters: Option<DeliveryCounters>,
     /// Per-node stream residues (entry counts, stream digests, end-of-run
-    /// stamps and stats) — present in every retention mode.
+    /// stamps and stats).
     stream: Vec<NodeStreamMeta>,
-    /// Raw outputs; `None` on the zero-materialization path, and `None`
-    /// once the merge has summarized-and-dropped them on the batch path.
-    raw: Option<RawScenarioOutputs>,
     /// Whether this result was rebuilt from the result cache instead of
     /// simulated ([`ScenarioResult::from_record`]).
     cache_hit: bool,
@@ -297,12 +278,13 @@ impl LiveNode {
 
 impl ScenarioResult {
     /// Builds, boots, runs and analyzes one scenario on the *materializing*
-    /// path: each node's full log is collected, summarized through the
-    /// incremental builders, and retained on the result (the merge decides
-    /// whether to keep or drop it).  This is the path that can fold the
-    /// pinned pre-refactor digest; the fleet default is
-    /// [`ScenarioResult::execute_streaming`].
-    pub fn execute(index: usize, scenario: Scenario) -> ScenarioResult {
+    /// path: each node's full log is collected and summarized through the
+    /// incremental builders, and the raw outputs come back next to the
+    /// result.  Summaries and stream residues are bit-identical to
+    /// [`ScenarioResult::execute_streaming`], which every fleet path uses;
+    /// this call serves the consumers that re-read raw logs (the figure
+    /// binaries) and the tests that fold the legacy digests from them.
+    pub fn execute(index: usize, scenario: Scenario) -> (ScenarioResult, RawScenarioOutputs) {
         let kind = scenario.app.kind();
         let _scenario_span = quanto_obs::span_with("scenario", &scenario.name);
         let build_span = quanto_obs::span_with("build", kind);
@@ -340,16 +322,16 @@ impl ScenarioResult {
             stream.push(stream_meta_from_raw(*id, out, encoding));
         }
         let medium_kind = scenario.medium.kind();
-        ScenarioResult {
+        let result = ScenarioResult {
             index,
             scenario,
             summaries,
             medium_kind,
             medium_counters,
             stream,
-            raw: Some(RawScenarioOutputs { outputs, contexts }),
             cache_hit: false,
-        }
+        };
+        (result, RawScenarioOutputs { outputs, contexts })
     }
 
     /// Builds, boots, runs and analyzes one scenario on the
@@ -358,7 +340,7 @@ impl ScenarioResult {
     /// the CPU segment builder during the run, the oscilloscope probe is
     /// detached, and no [`NodeRunOutput::log`] is ever built.  Summaries are
     /// bit-identical to [`ScenarioResult::execute`] (the builders are
-    /// chunking-independent); raw access is unavailable by construction.
+    /// chunking-independent).
     pub fn execute_streaming(index: usize, scenario: Scenario) -> ScenarioResult {
         let mut ws = crate::workspace::SimWorkspace::new();
         ScenarioResult::execute_streaming_in(index, scenario, &mut ws)
@@ -492,38 +474,12 @@ impl ScenarioResult {
             medium_kind,
             medium_counters,
             stream,
-            raw: None,
             cache_hit: false,
         }
     }
 
-    /// Executes under the given retention mode:
-    /// [`Retention::Stream`] takes the zero-materialization path, the batch
-    /// modes materialize (the merge decides what survives).
-    pub fn execute_with(index: usize, scenario: Scenario, retention: Retention) -> ScenarioResult {
-        match retention {
-            Retention::Stream => ScenarioResult::execute_streaming(index, scenario),
-            Retention::Batch | Retention::Raw => ScenarioResult::execute(index, scenario),
-        }
-    }
-
-    /// [`ScenarioResult::execute_with`] through a pooled workspace: the
-    /// streaming path reuses the workspace's allocations, the batch paths
-    /// (which must materialize fresh logs anyway) are unchanged.
-    pub fn execute_with_in(
-        index: usize,
-        scenario: Scenario,
-        retention: Retention,
-        ws: &mut crate::workspace::SimWorkspace,
-    ) -> ScenarioResult {
-        match retention {
-            Retention::Stream => ScenarioResult::execute_streaming_in(index, scenario, ws),
-            Retention::Batch | Retention::Raw => ScenarioResult::execute(index, scenario),
-        }
-    }
-
     /// The per-node stream residues (entry counts, entry digests, stamps) —
-    /// available in every retention mode, and byte-comparable across them.
+    /// byte-comparable between the streaming and materializing paths.
     pub fn stream_meta(&self) -> &[NodeStreamMeta] {
         &self.stream
     }
@@ -536,8 +492,7 @@ impl ScenarioResult {
 
     /// The serializable residue of this result: everything
     /// [`ScenarioResult::fold_stream_digest`] folds and the reports render,
-    /// with floats as bit patterns.  Raw outputs are *not* captured — a
-    /// record can only rebuild a stream-retention result.
+    /// with floats as bit patterns.
     pub(crate) fn to_record(&self) -> ScenarioRecord {
         ScenarioRecord {
             summaries: self
@@ -673,7 +628,6 @@ impl ScenarioResult {
             medium_kind,
             medium_counters,
             stream,
-            raw: None,
             cache_hit,
         })
     }
@@ -694,173 +648,21 @@ impl ScenarioResult {
         self.medium_counters.is_some()
     }
 
-    /// The raw per-node data, while retained.
-    pub fn raw(&self) -> Option<&RawScenarioOutputs> {
-        self.raw.as_ref()
-    }
-
-    /// Whether the raw outputs are still retained.
-    pub fn has_raw(&self) -> bool {
-        self.raw.is_some()
-    }
-
-    /// Raw log entries currently held by this result (zero on the
-    /// zero-materialization path — nothing was ever held).
-    pub(crate) fn log_entries_held(&self) -> u64 {
-        self.raw
-            .as_ref()
-            .map(|raw| raw.outputs.iter().map(|(_, o)| o.log.len() as u64).sum())
-            .unwrap_or(0)
-    }
-
-    /// Total surviving log entries this scenario produced, whether they were
-    /// materialized or streamed.
+    /// Total surviving log entries this scenario produced.
     pub(crate) fn total_entries(&self) -> u64 {
         self.stream.iter().map(|m| m.entries).sum()
     }
 
-    /// Releases the raw outputs, returning how many log entries that freed.
-    pub(crate) fn drop_raw(&mut self) -> u64 {
-        let held = self.log_entries_held();
-        self.raw = None;
-        held
-    }
-
-    /// The raw output of one node.
-    pub fn output(&self, id: NodeId) -> Result<&NodeRunOutput, RawAccessError> {
-        let raw = self
-            .raw
-            .as_ref()
-            .ok_or_else(|| RawAccessError::NotRetained {
-                scenario: self.scenario.name.clone(),
-            })?;
-        raw.outputs
-            .iter()
-            .find(|(n, _)| *n == id)
-            .map(|(_, o)| o)
-            .ok_or_else(|| RawAccessError::UnknownNode {
-                scenario: self.scenario.name.clone(),
-                node: id,
-                known: raw.outputs.iter().map(|(n, _)| *n).collect(),
-            })
-    }
-
-    /// The analysis context of one node.
-    pub fn context(&self, id: NodeId) -> Result<&ExperimentContext, RawAccessError> {
-        let raw = self
-            .raw
-            .as_ref()
-            .ok_or_else(|| RawAccessError::NotRetained {
-                scenario: self.scenario.name.clone(),
-            })?;
-        raw.contexts
-            .iter()
-            .find(|(n, _)| *n == id)
-            .map(|(_, c)| c)
-            .ok_or_else(|| RawAccessError::UnknownNode {
-                scenario: self.scenario.name.clone(),
-                node: id,
-                known: raw.contexts.iter().map(|(n, _)| *n).collect(),
-            })
-    }
-
-    /// The summary of one node, if it ran in this scenario.  Always
-    /// available — summaries survive the raw drop.
+    /// The summary of one node, if it ran in this scenario.
     pub fn summary(&self, id: NodeId) -> Option<&NodeSummary> {
         self.summaries.iter().find(|s| s.node == id)
     }
 
-    /// Decomposes a single-node result into its owned parts
-    /// `(node, output, context)` — the shape the `quanto-apps` analyzers
-    /// take.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scenario ran more than one node, or if the raw outputs
-    /// were not retained (build the runner with
-    /// [`crate::FleetRunner::retain_raw`]).
-    pub fn into_single_node_parts(self) -> (NodeId, NodeRunOutput, ExperimentContext) {
-        let name = self.scenario.name;
-        let mut raw = self.raw.unwrap_or_else(|| {
-            panic!(
-                "into_single_node_parts on scenario {name:?} whose raw outputs were \
-                 dropped; build the runner with FleetRunner::retain_raw()"
-            )
-        });
-        assert_eq!(
-            raw.outputs.len(),
-            1,
-            "into_single_node_parts on {}-node scenario {name:?}",
-            raw.outputs.len(),
-        );
-        let (id, output) = raw.outputs.remove(0);
-        let (_, context) = raw.contexts.remove(0);
-        (id, output, context)
-    }
-
-    /// Folds this result into an FNV-1a digest: every surviving log entry's
-    /// encoded bytes, the final stamps, drop counts and radio statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the raw outputs are gone — the merge folds every result
-    /// *before* dropping them.
-    pub(crate) fn fold_digest(&self, h: &mut Fnv) {
-        let raw = self
-            .raw
-            .as_ref()
-            .expect("digest is folded before raw outputs are dropped");
-        let encoding = self.scenario.log_encoding();
-        h.write(self.scenario.name.as_bytes());
-        h.write(&(self.index as u64).to_le_bytes());
-        // Whole-log chunked fold: encode every entry into one scratch buffer
-        // and hash it in a single pass.  FNV-1a folds byte by byte, so the
-        // concatenation hashes identically to the historical entry-at-a-time
-        // writes — the pinned digests prove it.
-        let mut bytes = Vec::new();
-        for (id, out) in &raw.outputs {
-            fold_node_id(h, *id);
-            h.write(&(out.log.len() as u64).to_le_bytes());
-            bytes.clear();
-            for entry in &out.log {
-                encoding.encode_entry(entry, &mut bytes);
-            }
-            h.write(&bytes);
-            h.write(&out.final_stamp.time.as_micros().to_le_bytes());
-            h.write(&out.final_stamp.icount.to_le_bytes());
-            h.write(&out.log_dropped.to_le_bytes());
-            h.write(&out.radio_stats.packets_sent.to_le_bytes());
-            h.write(&out.radio_stats.packets_received.to_le_bytes());
-            h.write(&out.radio_stats.false_wakeups.to_le_bytes());
-            h.write(
-                &out.ground_truth
-                    .total
-                    .as_micro_joules()
-                    .to_bits()
-                    .to_le_bytes(),
-            );
-        }
-        for s in &self.summaries {
-            h.write(&s.average_power.as_micro_watts().to_bits().to_le_bytes());
-            h.write(&s.total_energy.as_micro_joules().to_bits().to_le_bytes());
-            h.write(&s.radio_duty_cycle.to_bits().to_le_bytes());
-        }
-        // Only counter-tracking mediums fold their counts: the ideal medium
-        // contributes nothing, keeping pre-medium-subsystem digests pinned.
-        if let Some(c) = &self.medium_counters {
-            h.write(self.medium_kind.as_bytes());
-            h.write(&c.delivered.to_le_bytes());
-            h.write(&c.lost_out_of_range.to_le_bytes());
-            h.write(&c.lost_below_sensitivity.to_le_bytes());
-            h.write(&c.lost_captured.to_le_bytes());
-        }
-    }
-
-    /// Folds this result into the *stream* digest: the same shape as
-    /// [`ScenarioResult::fold_digest`], with each node's raw entry bytes
-    /// replaced by its `(count, entry digest)` residue — which is computable
-    /// without ever materializing the log, and catches any byte-level
-    /// divergence in the entry stream all the same.
+    /// Folds this result into the *stream* digest: the scenario's name and
+    /// index, then per node its `(count, entry digest)` residue — which is
+    /// computable without ever materializing the log, and catches any
+    /// byte-level divergence in the entry stream all the same — its stamps
+    /// and stats, then the summaries and the medium counters.
     pub(crate) fn fold_stream_digest(&self, h: &mut Fnv) {
         h.write(self.scenario.name.as_bytes());
         h.write(&(self.index as u64).to_le_bytes());
@@ -936,7 +738,8 @@ fn fold_node_id(h: &mut Fnv, id: NodeId) {
 }
 
 /// The stream residue of one node, recomputed from its materialized log —
-/// the batch-path equivalent of what the sink accumulates live.  Chunking
+/// the [`ScenarioResult::execute`] equivalent of what the sink accumulates
+/// live.  Chunking
 /// independence of [`StreamDigest`] makes the two byte-comparable.
 fn stream_meta_from_raw(
     node: NodeId,
@@ -1087,12 +890,10 @@ pub struct FleetReport {
     pub wall_clock: std::time::Duration,
     /// The stream digest, folded in submission order during the merge.
     digest: u64,
-    /// The legacy pinned digest (folds raw entry bytes), when the retention
-    /// mode materialized the logs.
-    pinned_digest: Option<u64>,
     /// Scenario name → index into `results`, built at merge time.
     by_name: HashMap<String, usize>,
-    /// High-water mark of raw log entries held at once during the run.
+    /// What the caller passed to [`ReportAccumulator::finish`]; zero from
+    /// every in-repo caller.
     peak_entries_held: u64,
     /// Total raw log entries across every scenario of the batch.
     total_log_entries: u64,
@@ -1117,53 +918,19 @@ impl FleetReport {
     /// digests), stamps, summaries and medium counters — and nothing
     /// host-dependent (thread count and wall clock are excluded), so a batch
     /// run with 1 thread and with N threads must produce identical digests.
-    /// Available in every retention mode: the zero-materialization path
-    /// folds it from what the sinks saw, the batch paths from the
-    /// materialized logs, and byte-identical entry streams give identical
-    /// digests either way.
     pub fn digest(&self) -> u64 {
         self.digest
     }
 
-    /// The legacy *pinned* digest — the exact byte layout of the
-    /// pre-streaming batch pipeline, which folds each node's entry count
-    /// followed by its raw entry bytes.  Only computable when the retention
-    /// mode materialized the logs ([`Retention::Batch`] or
-    /// [`Retention::Raw`]); `None` on the zero-materialization path, whose
-    /// equivalence is instead proven through [`FleetReport::digest`] and the
-    /// per-node stream residues.
-    pub fn pinned_digest(&self) -> Option<u64> {
-        self.pinned_digest
-    }
-
-    /// Recomputes the pinned digest from the retained raw outputs; `None`
-    /// when any scenario's raw outputs were dropped.  Exists so tests can
-    /// prove the merge-time fold equals the whole-batch computation.
-    pub fn recompute_digest(&self) -> Option<u64> {
-        if self.results.iter().any(|r| !r.has_raw()) {
-            return None;
-        }
-        let mut h = Fnv::new();
-        h.write(&(self.results.len() as u64).to_le_bytes());
-        for r in &self.results {
-            r.fold_digest(&mut h);
-        }
-        Some(h.finish())
-    }
-
-    /// High-water mark of raw log entries held at once during the run:
-    /// completed-but-unmerged results plus merged results whose raw outputs
-    /// were retained.  On the default zero-materialization path this is
-    /// *zero* — no entry is ever held — which is exactly what the smoke
-    /// retention gate asserts.  [`Retention::Batch`] stays bounded by the
-    /// out-of-order completion window (≈ the thread count), and
-    /// [`Retention::Raw`] peaks at the whole batch.
+    /// What the caller passed to [`ReportAccumulator::finish`]: zero on
+    /// every fleet path, since a [`ScenarioResult`] has nowhere to hold a
+    /// raw log entry.  Kept, with its `summary_json` key, only because the
+    /// `perfbench` checks compile against it.
     pub fn peak_entries_held(&self) -> u64 {
         self.peak_entries_held
     }
 
-    /// Total surviving log entries produced across the whole batch, whether
-    /// they streamed through sinks or were materialized.
+    /// Total surviving log entries produced across the whole batch.
     pub fn total_log_entries(&self) -> u64 {
         self.total_log_entries
     }
@@ -1239,10 +1006,6 @@ impl FleetReport {
             self.wall_clock.as_secs_f64() * 1e3
         ));
         out.push_str(&format!("\"digest\":\"{:#018x}\",", self.digest));
-        match self.pinned_digest {
-            Some(d) => out.push_str(&format!("\"pinned_digest\":\"{d:#018x}\",")),
-            None => out.push_str("\"pinned_digest\":null,"),
-        }
         out.push_str(&format!(
             "\"total_log_entries\":{},",
             self.total_log_entries
@@ -1357,9 +1120,8 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-/// Accumulates merged results in submission order, folding the digest(s)
-/// and (in [`Retention::Batch`]) dropping raw outputs as each scenario
-/// lands.
+/// Accumulates merged results in submission order, folding the digest as
+/// each scenario lands.
 ///
 /// This is *the* determinism seam of the sweep subsystem: every execution
 /// topology — the in-process [`crate::FleetRunner`], the multi-process
@@ -1370,63 +1132,45 @@ pub(crate) fn json_escape(s: &str) -> String {
 /// submission-index order (a reorder buffer is the caller's job) and close
 /// it with [`ReportAccumulator::finish`].
 pub struct ReportAccumulator {
-    retention: Retention,
-    /// The stream digest — folded in every mode.
     hasher: Fnv,
-    /// The legacy pinned digest — folded only when logs are materialized.
-    pinned: Option<Fnv>,
     results: Vec<ScenarioResult>,
     by_name: HashMap<String, usize>,
     total_log_entries: u64,
 }
 
 impl ReportAccumulator {
-    /// Starts a report over `expected` scenarios.
-    pub fn new(expected: usize, retention: Retention) -> Self {
+    /// Starts a report over `expected` scenarios.  `Retention` has the one
+    /// value [`Retention::Stream`]; the parameter is kept only because the
+    /// `perfbench` harness compiles against this signature.
+    pub fn new(expected: usize, _retention: Retention) -> Self {
         let mut hasher = Fnv::new();
         hasher.write(&(expected as u64).to_le_bytes());
-        let pinned = match retention {
-            Retention::Stream => None,
-            Retention::Batch | Retention::Raw => {
-                let mut h = Fnv::new();
-                h.write(&(expected as u64).to_le_bytes());
-                Some(h)
-            }
-        };
         ReportAccumulator {
-            retention,
             hasher,
-            pinned,
             results: Vec::with_capacity(expected),
             by_name: HashMap::with_capacity(expected),
             total_log_entries: 0,
         }
     }
 
-    /// Merges the next result in submission order.  Returns how many raw log
-    /// entries were released (zero when retaining or streaming).
-    pub fn absorb(&mut self, mut result: ScenarioResult) -> u64 {
+    /// Merges the next result in submission order.
+    pub fn absorb(&mut self, result: ScenarioResult) {
         debug_assert_eq!(result.index, self.results.len(), "merge order violated");
         result.fold_stream_digest(&mut self.hasher);
-        if let Some(pinned) = self.pinned.as_mut() {
-            result.fold_digest(pinned);
-        }
         self.total_log_entries += result.total_entries();
-        let released = match self.retention {
-            Retention::Stream | Retention::Raw => 0,
-            Retention::Batch => result.drop_raw(),
-        };
         // First submission wins on duplicate names, matching the linear
         // scan's find() semantics.
         self.by_name
             .entry(result.scenario.name.clone())
             .or_insert(self.results.len());
         self.results.push(result);
-        released
     }
 
     /// Finalizes the report.  `threads` and `wall_clock` are display
-    /// metadata only — neither folds into the digest.
+    /// metadata only — neither folds into the digest.  `peak_entries_held`
+    /// is stamped on the report verbatim (every in-repo caller passes 0);
+    /// it is kept only because the `perfbench` harness compiles against
+    /// this signature.
     pub fn finish(
         self,
         threads: usize,
@@ -1438,7 +1182,6 @@ impl ReportAccumulator {
             threads,
             wall_clock,
             digest: self.hasher.finish(),
-            pinned_digest: self.pinned.map(|h| h.finish()),
             by_name: self.by_name,
             peak_entries_held,
             total_log_entries: self.total_log_entries,
@@ -1480,8 +1223,8 @@ mod tests {
     /// bit — the digest folds these floats.
     #[test]
     fn streaming_summary_is_bit_identical_to_batch_pipeline() {
-        let result = ScenarioResult::execute(0, Scenario::lpl(17, 0.18, SimDuration::from_secs(4)));
-        let raw = result.raw().expect("execute retains raw");
+        let (result, raw) =
+            ScenarioResult::execute(0, Scenario::lpl(17, 0.18, SimDuration::from_secs(4)));
         for ((id, out), (_, ctx)) in raw.outputs.iter().zip(raw.contexts.iter()) {
             let streamed = result.summary(*id).expect("summary exists");
             // The pre-refactor batch computation, verbatim.
@@ -1519,26 +1262,21 @@ mod tests {
     }
 
     #[test]
-    fn raw_access_errors_are_descriptive() {
-        let mut result = ScenarioResult::execute(0, Scenario::idle(SimDuration::from_secs(1)));
-        // Unknown node while raw is retained.
-        let err = result.output(NodeId(99)).unwrap_err();
-        assert!(matches!(err, RawAccessError::UnknownNode { .. }));
-        assert!(err.to_string().contains("no node 99"), "{err}");
-        assert!(result.output(NodeId(1)).is_ok());
-        assert!(result.context(NodeId(1)).is_ok());
-        // After the drop, lookups explain how to retain.
-        result.drop_raw();
-        let err = result.output(NodeId(1)).unwrap_err();
-        assert!(matches!(err, RawAccessError::NotRetained { .. }));
-        assert!(err.to_string().contains("retain_raw"), "{err}");
-        // Summaries survive.
-        assert!(result.summary(NodeId(1)).is_some());
+    fn raw_outputs_answer_only_for_nodes_that_ran() {
+        let (result, raw) = ScenarioResult::execute(0, Scenario::bounce(SimDuration::from_secs(1)));
+        for id in [NodeId(1), NodeId(4)] {
+            assert!(raw.output(id).is_some());
+            assert!(raw.context(id).is_some());
+            assert!(result.summary(id).is_some());
+        }
+        assert!(raw.output(NodeId(9)).is_none());
+        assert!(raw.context(NodeId(9)).is_none());
+        assert!(result.summary(NodeId(9)).is_none());
     }
 
     #[test]
     fn summary_json_is_well_formed_enough() {
-        let result = ScenarioResult::execute(0, Scenario::idle(SimDuration::from_secs(1)));
+        let (result, _) = ScenarioResult::execute(0, Scenario::idle(SimDuration::from_secs(1)));
         let json = scenario_json(
             result.index,
             &result.scenario.name,
@@ -1567,7 +1305,7 @@ mod tests {
         use crate::scenario::MediumSpec;
         let d = SimDuration::from_secs(2);
         // The ideal medium tracks nothing: a descriptive error, not a panic.
-        let ideal = ScenarioResult::execute(0, Scenario::bounce(d));
+        let (ideal, _) = ScenarioResult::execute(0, Scenario::bounce(d));
         assert!(!ideal.has_medium_counters());
         let err = ideal.medium_counters().unwrap_err();
         assert_eq!(err.medium, "ideal");
@@ -1575,7 +1313,7 @@ mod tests {
         assert!(msg.contains("does not track delivery counters"), "{msg}");
         assert!(msg.contains(&ideal.scenario.name), "{msg}");
         // A geometric medium answers.
-        let disk = ScenarioResult::execute(
+        let (disk, _) = ScenarioResult::execute(
             0,
             Scenario::bounce(d).with_medium(MediumSpec::UnitDisk {
                 range_m: 100.0,

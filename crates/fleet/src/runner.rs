@@ -4,19 +4,15 @@
 //! [`os_sim::Engine`] from the plain-data [`Scenario`]), so the only shared
 //! state is the work queue — an atomic cursor over the batch — and an mpsc
 //! channel from the workers to the merge loop.  The merge loop reorders
-//! completions into submission order, folds the report digest(s) and emits
-//! a progress event per scenario.  What each worker *retains* is the
-//! [`Retention`] mode: the default [`Retention::Stream`] feeds the analysis
-//! through per-node log sinks during the run and never materializes a
-//! scenario's log at all; [`Retention::Batch`] materializes per scenario
-//! (which is what makes the legacy pinned digest computable) and drops at
-//! merge; [`Retention::Raw`] keeps everything.  A backpressure window keeps
-//! workers from racing more than ~2 × `threads` scenarios ahead of the
-//! merge watermark, so on the materializing paths the raw entries held at
-//! any instant are bounded by the window — not by the batch size, and not
-//! by scheduler-induced skew.  Submission-order merging together with
-//! fully-seeded scenarios makes a fleet run bit-reproducible at any thread
-//! count.
+//! completions into submission order, folds the report digest and emits a
+//! progress event per scenario.  Every worker streams: each node's log
+//! feeds the analysis through a sink during the run, so a scenario is never
+//! materialized and a result carries only O(1) per-node residues.  A
+//! backpressure window keeps workers from racing more than ~2 × `threads`
+//! scenarios ahead of the merge watermark, so the reorder buffer is bounded
+//! by the window — not by the batch size, and not by scheduler-induced
+//! skew.  Submission-order merging together with fully-seeded scenarios
+//! makes a fleet run bit-reproducible at any thread count.
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::report::{scenario_json, FleetReport, NodeSummary, ReportAccumulator, ScenarioResult};
@@ -102,36 +98,22 @@ impl FleetProgress {
     }
 }
 
-/// What a fleet run keeps of each scenario's raw data — the axis that
-/// decides both the memory profile and which digests are computable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// What a fleet run keeps of each scenario's raw data.  There is one mode:
+/// every node's log streams through a sink that drives the incremental
+/// analysis and the entry digest *during* the run, and no
+/// [`os_sim::NodeRunOutput::log`] is ever built.  Kept only because the
+/// `perfbench` harness compiles against [`crate::ReportAccumulator::new`]'s
+/// `Retention` parameter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Retention {
-    /// The zero-materialization default: every node's log streams through a
-    /// sink that drives the incremental analysis and the entry digest
-    /// *during* the run; no [`os_sim::NodeRunOutput::log`] is ever built,
-    /// and the peak raw-entry retention of a whole sweep is zero.  The
-    /// legacy pinned digest is unavailable (its byte layout needs each
-    /// node's entry count before the entry bytes, which a stream cannot
-    /// know); determinism checks use [`crate::FleetReport::digest`].
-    #[default]
+    /// The zero-materialization mode every fleet path runs.
     Stream,
-    /// Materialize each scenario's log, fold both digests at merge time in
-    /// submission order, then drop the raw outputs.  This is the
-    /// pre-refactor default path; peak retention is bounded by the
-    /// out-of-order completion window.  Use it when the pinned pre-refactor
-    /// digest must be reproduced byte-for-byte.
-    Batch,
-    /// Keep every scenario's raw outputs and analysis contexts in the
-    /// report, for consumers that re-analyze raw logs (the figure
-    /// binaries).  Costs memory proportional to the whole batch.
-    Raw,
 }
 
 /// Executes batches of [`Scenario`]s, optionally in parallel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetRunner {
     threads: usize,
-    retention: Retention,
 }
 
 impl FleetRunner {
@@ -139,7 +121,6 @@ impl FleetRunner {
     pub fn new(threads: usize) -> Self {
         FleetRunner {
             threads: threads.max(1),
-            retention: Retention::Stream,
         }
     }
 
@@ -155,37 +136,6 @@ impl FleetRunner {
                 .map(|n| n.get())
                 .unwrap_or(1),
         )
-    }
-
-    /// Selects what each scenario's execution retains (see [`Retention`]).
-    pub fn with_retention(mut self, retention: Retention) -> Self {
-        self.retention = retention;
-        self
-    }
-
-    /// Keeps every scenario's raw [`os_sim::NodeRunOutput`]s in the report
-    /// instead of summarizing-and-dropping them.  Needed by consumers that
-    /// re-analyze raw logs (the figure binaries); costs memory proportional
-    /// to the whole batch.
-    pub fn retain_raw(self) -> Self {
-        self.with_retention(Retention::Raw)
-    }
-
-    /// Materializes each scenario's log and folds the legacy pinned digest
-    /// at merge before dropping the raw outputs — the pre-refactor default
-    /// path (see [`Retention::Batch`]).
-    pub fn batch_digest(self) -> Self {
-        self.with_retention(Retention::Batch)
-    }
-
-    /// Whether this runner keeps raw outputs.
-    pub fn retains_raw(&self) -> bool {
-        self.retention == Retention::Raw
-    }
-
-    /// The configured retention mode.
-    pub fn retention(&self) -> Retention {
-        self.retention
     }
 
     /// The configured worker-thread count.
@@ -236,35 +186,21 @@ impl FleetRunner {
     /// cache.  Every scenario whose canonical spec digest has a valid cache
     /// entry is rebuilt from disk instead of simulated (its progress event
     /// carries `cache_hit`); every freshly-simulated scenario is written
-    /// back.  The cache only engages under [`Retention::Stream`] — the
-    /// batch modes exist to fold the pinned digest from raw entry bytes,
-    /// which no cache record can reproduce — and the report is stamped with
-    /// this run's hit/miss/write deltas.
+    /// back.  The report is stamped with this run's hit/miss/write deltas.
     pub fn run_with_progress_cached(
         &self,
         scenarios: Vec<Scenario>,
         cache: Option<&ResultCache>,
         mut progress: impl FnMut(FleetProgress),
     ) -> FleetReport {
-        let cache = match self.retention {
-            Retention::Stream => cache,
-            Retention::Batch | Retention::Raw => None,
-        };
         let stats_before = cache.map(ResultCache::stats);
         let started = Instant::now();
         let total = scenarios.len();
         let workers = self.threads.min(total.max(1));
-        let retention = self.retention;
-        let mut acc = ReportAccumulator::new(total, retention);
-        // Raw log entries currently held (completed results not yet merged,
-        // plus merged results whose raw outputs were retained) and its
-        // high-water mark — the number the smoke gate bounds.
-        let mut held: u64 = 0;
-        let mut peak: u64 = 0;
+        let mut acc = ReportAccumulator::new(total, Retention::Stream);
 
         let merge = |result: ScenarioResult,
                      acc: &mut ReportAccumulator,
-                     held: &mut u64,
                      progress: &mut dyn FnMut(FleetProgress)| {
             let completed = result.index + 1;
             let elapsed_ms = started.elapsed().as_millis() as u64;
@@ -283,7 +219,7 @@ impl FleetRunner {
                 shard: None,
                 cache_hit: result.cache_hit(),
             };
-            *held -= acc.absorb(result);
+            acc.absorb(result);
             progress(event);
         };
 
@@ -292,11 +228,9 @@ impl FleetRunner {
             let worker_span = quanto_obs::span("worker");
             let mut ws = SimWorkspace::new();
             for (i, s) in scenarios.into_iter().enumerate() {
-                let result = execute_or_cached_in(i, s, retention, cache, &mut ws);
-                held += result.log_entries_held();
-                peak = peak.max(held);
+                let result = execute_or_cached_in(i, s, cache, &mut ws);
                 let _merge_span = quanto_obs::span("merge");
-                merge(result, &mut acc, &mut held, &mut progress);
+                merge(result, &mut acc, &mut progress);
             }
             drop(worker_span);
             quanto_obs::flush_thread();
@@ -305,9 +239,9 @@ impl FleetRunner {
             // until fewer than `window` scenarios separate it from the merge
             // watermark.  Without this, a preempted worker (common on
             // oversubscribed or single-CPU hosts) lets its peers race
-            // arbitrarily far ahead, and the reorder buffer — which must
-            // hold raw outputs until the digest folds in submission order —
-            // grows with the skew instead of the thread count.  The worker
+            // arbitrarily far ahead, and the reorder buffer — which holds
+            // results until the digest folds in submission order — grows
+            // with the skew instead of the thread count.  The worker
             // owning the lowest unmerged index is never blocked (its index
             // equals the watermark), so the window cannot deadlock — and if
             // any thread panics, its `WakeOnUnwind` guard raises the abort
@@ -367,13 +301,8 @@ impl FleetRunner {
                                         break;
                                     }
                                 }
-                                let result = execute_or_cached_in(
-                                    i,
-                                    scenarios[i].clone(),
-                                    retention,
-                                    cache,
-                                    &mut ws,
-                                );
+                                let result =
+                                    execute_or_cached_in(i, scenarios[i].clone(), cache, &mut ws);
                                 // The send wakes a parked receiver, which is
                                 // where the scheduler preempts oversubscribed
                                 // workers — span it so worker wall-clock
@@ -402,14 +331,12 @@ impl FleetRunner {
                 let mut pending: BTreeMap<usize, ScenarioResult> = BTreeMap::new();
                 let mut next = 0usize;
                 for result in rx {
-                    held += result.log_entries_held();
-                    peak = peak.max(held);
                     pending.insert(result.index, result);
                     quanto_obs::observe("runner.reorder_window_occupancy", pending.len() as u64);
                     let before = next;
                     let _merge_span = quanto_obs::span("merge");
                     while let Some(result) = pending.remove(&next) {
-                        merge(result, &mut acc, &mut held, &mut progress);
+                        merge(result, &mut acc, &mut progress);
                         next += 1;
                     }
                     if next != before {
@@ -436,7 +363,7 @@ impl FleetRunner {
                 );
             });
         }
-        let mut report = acc.finish(workers, started.elapsed(), peak);
+        let mut report = acc.finish(workers, started.elapsed(), 0);
         if let (Some(cache), Some(before)) = (cache, stats_before) {
             let after = cache.stats();
             report.set_cache_stats(CacheStats {
@@ -451,51 +378,32 @@ impl FleetRunner {
 
 /// One scenario through the cache fast path: a valid entry skips the
 /// simulation entirely; a miss simulates on the zero-materialization path
-/// and writes the entry back for next time.  With no cache (or a
-/// materializing retention, which the caller already stripped the cache
-/// for), this is plain [`ScenarioResult::execute_with`].
+/// through the pooled [`SimWorkspace`] and writes the entry back for next
+/// time.  With no cache, this is plain
+/// [`ScenarioResult::execute_streaming_in`].
 ///
 /// Public because it is the execution seam every sweep scheduler shares:
 /// the in-process runner's workers, the dist shards (via their own
 /// `FleetRunner`) and the `quanto-serve` daemon's pool all produce their
 /// per-scenario results through exactly this call, which is what makes
-/// their digests byte-identical.  A cache may only be supplied with
-/// [`Retention::Stream`] — no cache record can reproduce the raw entry
-/// bytes the batch digests fold.
-pub fn execute_or_cached(
-    index: usize,
-    scenario: Scenario,
-    retention: Retention,
-    cache: Option<&ResultCache>,
-) -> ScenarioResult {
-    let mut ws = SimWorkspace::new();
-    execute_or_cached_in(index, scenario, retention, cache, &mut ws)
-}
-
-/// [`execute_or_cached`] through a pooled [`SimWorkspace`]: the streaming
-/// simulation path draws its allocations from (and returns them to) the
-/// workspace, so a worker looping over scenarios allocates like it ran one.
-/// Results are byte-identical to [`execute_or_cached`] — pooling recycles
-/// capacity, never state.
+/// their digests byte-identical.  Pooling recycles the workspace's
+/// capacity, never its state, so a pooled worker folds the same bytes as a
+/// fresh one.
 pub fn execute_or_cached_in(
     index: usize,
     scenario: Scenario,
-    retention: Retention,
     cache: Option<&ResultCache>,
     ws: &mut SimWorkspace,
 ) -> ScenarioResult {
-    match cache {
-        Some(cache) => {
-            debug_assert_eq!(retention, Retention::Stream, "cache is stream-only");
-            if let Some(result) = cache.load_result(index, &scenario) {
-                return result;
-            }
-            let result = ScenarioResult::execute_streaming_in(index, scenario, ws);
-            cache.store_record(&result.scenario, &result.to_record());
-            result
+    if let Some(cache) = cache {
+        if let Some(result) = cache.load_result(index, &scenario) {
+            return result;
         }
-        None => ScenarioResult::execute_with_in(index, scenario, retention, ws),
+        let result = ScenarioResult::execute_streaming_in(index, scenario, ws);
+        cache.store_record(&result.scenario, &result.to_record());
+        return result;
     }
+    ScenarioResult::execute_streaming_in(index, scenario, ws)
 }
 
 impl Default for FleetRunner {
@@ -550,60 +458,51 @@ mod tests {
         batch
     }
 
-    /// Satellite requirement: the same batch through 1 thread and N threads
-    /// yields byte-identical reports (same seeds ⇒ same outputs, stable
-    /// ordering).
+    /// The same batch through 1 thread and N threads yields byte-identical
+    /// reports (same seeds ⇒ same entry streams, stable ordering).
     #[test]
     fn parallel_report_is_byte_identical_to_sequential() {
-        let sequential = FleetRunner::sequential().retain_raw().run(small_batch());
-        let parallel = FleetRunner::new(3).retain_raw().run(small_batch());
+        let sequential = FleetRunner::sequential().run(small_batch());
+        let parallel = FleetRunner::new(3).run(small_batch());
         assert_eq!(sequential.results.len(), parallel.results.len());
         // Deep check first (precise failure location)…
         for (a, b) in sequential.results.iter().zip(parallel.results.iter()) {
             assert_eq!(a.index, b.index);
             assert_eq!(a.scenario, b.scenario);
-            let (raw_a, raw_b) = (a.raw().unwrap(), b.raw().unwrap());
-            for ((id_a, out_a), (id_b, out_b)) in raw_a.outputs.iter().zip(raw_b.outputs.iter()) {
-                assert_eq!(id_a, id_b);
-                assert_eq!(
-                    out_a.log, out_b.log,
-                    "scenario {} node {id_a} diverged across thread counts",
-                    a.scenario.name
-                );
-                assert_eq!(out_a.final_stamp, out_b.final_stamp);
-                assert_eq!(out_a.log_dropped, out_b.log_dropped);
-            }
+            assert_eq!(
+                a.stream_meta(),
+                b.stream_meta(),
+                "scenario {} diverged across thread counts",
+                a.scenario.name
+            );
         }
-        // …then the digests the smoke harness relies on: the stream digest,
-        // and the pinned digest's merge-time fold versus the whole-batch
-        // recomputation.
+        // …then the digest the smoke harness relies on.
         assert_eq!(sequential.digest(), parallel.digest());
-        assert_eq!(sequential.pinned_digest(), parallel.pinned_digest());
-        assert!(sequential.pinned_digest().is_some());
-        assert_eq!(sequential.recompute_digest(), sequential.pinned_digest());
-        assert_eq!(parallel.recompute_digest(), parallel.pinned_digest());
     }
 
     /// The bridge between the paths: the zero-materialization run must see
     /// byte-identical entry streams (per-node counts and FNV digests), fold
     /// the same report digest and produce bit-identical summaries as the
-    /// materializing run — that equality is what extends the pinned-digest
-    /// proof chain to the sink-fed path.
+    /// materializing [`ScenarioResult::execute`] — that equality is what
+    /// extends the pinned-digest proof chain to the sink-fed path.
     #[test]
     fn streaming_path_is_byte_identical_to_materializing_path() {
-        let retained = FleetRunner::new(3).retain_raw().run(small_batch());
+        let batch = small_batch();
+        let mut acc = ReportAccumulator::new(batch.len(), Retention::Stream);
+        for (i, s) in batch.into_iter().enumerate() {
+            let (result, raw) = ScenarioResult::execute(i, s);
+            assert_eq!(raw.outputs.len(), result.summaries.len());
+            acc.absorb(result);
+        }
+        let materialized = acc.finish(1, std::time::Duration::ZERO, 0);
         let streamed = FleetRunner::new(3).run(small_batch());
-        assert_eq!(retained.digest(), streamed.digest());
-        assert!(retained.results.iter().all(|r| r.has_raw()));
-        assert!(streamed.results.iter().all(|r| !r.has_raw()));
-        assert_eq!(streamed.recompute_digest(), None);
-        assert_eq!(streamed.pinned_digest(), None);
+        assert_eq!(materialized.digest(), streamed.digest());
         assert_eq!(
-            retained.total_log_entries(),
+            materialized.total_log_entries(),
             streamed.total_log_entries(),
             "both paths must account every surviving entry"
         );
-        for (a, b) in retained.results.iter().zip(streamed.results.iter()) {
+        for (a, b) in materialized.results.iter().zip(streamed.results.iter()) {
             // The O(1) stream residues are the byte-identity witness: equal
             // counts and equal FNV digests mean the sink saw exactly the
             // bytes the materialized log holds.
@@ -626,43 +525,6 @@ mod tests {
                 assert_eq!(sa.cpu_segments, sb.cpu_segments);
             }
         }
-    }
-
-    /// The batch-digest mode must agree with raw retention on both digests
-    /// — it exists so the pinned digest stays reproducible without keeping
-    /// the whole batch in memory.
-    #[test]
-    fn batch_digest_mode_preserves_both_digests() {
-        let retained = FleetRunner::new(3).retain_raw().run(small_batch());
-        let batch = FleetRunner::new(3).batch_digest().run(small_batch());
-        assert_eq!(retained.digest(), batch.digest());
-        assert_eq!(retained.pinned_digest(), batch.pinned_digest());
-        assert!(batch.pinned_digest().is_some());
-        assert!(batch.results.iter().all(|r| !r.has_raw()));
-    }
-
-    /// The default path never holds a raw entry; batch-digest mode is
-    /// bounded by the completion window; raw retention peaks at the total.
-    #[test]
-    fn retention_modes_bound_peak_retention_as_documented() {
-        let streamed = FleetRunner::new(4).run(small_batch());
-        assert!(streamed.total_log_entries() > 0);
-        assert_eq!(
-            streamed.peak_entries_held(),
-            0,
-            "zero-materialization path must hold nothing"
-        );
-        let batch = FleetRunner::new(4).batch_digest().run(small_batch());
-        assert!(batch.peak_entries_held() > 0);
-        assert!(
-            batch.peak_entries_held() < batch.total_log_entries(),
-            "peak {} should be below total {}",
-            batch.peak_entries_held(),
-            batch.total_log_entries()
-        );
-        // Retaining raw buffers everything: the peak is the total.
-        let retained = FleetRunner::new(4).retain_raw().run(small_batch());
-        assert_eq!(retained.peak_entries_held(), retained.total_log_entries());
     }
 
     #[test]
@@ -749,15 +611,6 @@ mod tests {
         let stats = warm.cache_stats().expect("cached run is stamped");
         assert_eq!((stats.hits, stats.misses, stats.writes), (total, 0, 0));
         assert!(warm.results.iter().all(|r| r.cache_hit()));
-
-        // Materializing retentions must bypass the cache entirely: the
-        // pinned digest folds raw entry bytes no record carries.
-        let batch = FleetRunner::new(2)
-            .batch_digest()
-            .run_cached(small_batch(), Some(&cache));
-        assert!(batch.cache_stats().is_none());
-        assert!(batch.pinned_digest().is_some());
-        assert_eq!(batch.digest(), plain.digest());
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -839,6 +692,5 @@ mod tests {
         assert!(report.results.is_empty());
         let digest = report.digest();
         assert_eq!(digest, FleetRunner::sequential().run(Vec::new()).digest());
-        assert_eq!(report.peak_entries_held(), 0);
     }
 }

@@ -11,11 +11,18 @@
 //! fold those exact bits and a decimal round-trip could perturb them.
 //!
 //! Anything outside that subset — signed numbers, fractions, exponents,
-//! trailing garbage, truncated input — is a parse failure, which callers
-//! treat as "corrupt": a cache miss, or a dead shard connection.  Never a
-//! panic, and never a silently-wrong value.
+//! trailing garbage, truncated input, arrays and objects nested deeper than
+//! [`MAX_DEPTH`] — is a parse failure, which callers treat as "corrupt": a
+//! cache miss, or a dead shard connection.  Never a panic, and never a
+//! silently-wrong value.
 
 use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`Value::parse`] accepts.
+/// The writers nest at most five levels (a cache entry's record); the cap
+/// keeps a hostile line of brackets from recursing the reader off its
+/// stack.
+pub const MAX_DEPTH: usize = 64;
 
 /// One parsed JSON value from the wire subset.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +46,7 @@ impl Value {
     pub fn parse(text: &str) -> Option<Value> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return None;
@@ -128,11 +135,14 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Option<()> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Option<Value> {
+/// Parses the value at `pos`, which sits inside `depth` open arrays and
+/// objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
     skip_ws(bytes, pos);
     match bytes.get(*pos)? {
-        b'{' => parse_obj(bytes, pos),
-        b'[' => parse_arr(bytes, pos),
+        b'{' | b'[' if depth == MAX_DEPTH => None,
+        b'{' => parse_obj(bytes, pos, depth + 1),
+        b'[' => parse_arr(bytes, pos, depth + 1),
         b'"' => Some(Value::Str(parse_string(bytes, pos)?)),
         b'0'..=b'9' => parse_uint(bytes, pos),
         b't' => parse_lit(bytes, pos, b"true", Value::Bool(true)),
@@ -199,20 +209,27 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
                 *pos += 1;
             }
             _ => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..]).ok()?;
-                let c = rest.chars().next()?;
-                if (c as u32) < 0x20 {
-                    return None;
+                // Copy the run up to the next quote, backslash or control
+                // byte in one go.  All three are ASCII, which never occurs
+                // inside a multi-byte UTF-8 sequence, so the run ends on a
+                // scalar boundary and is validated exactly once.
+                let start = *pos;
+                while let Some(&b) = bytes.get(*pos) {
+                    if b == b'"' || b == b'\\' || b < 0x20 {
+                        break;
+                    }
+                    *pos += 1;
                 }
-                out.push(c);
-                *pos += c.len_utf8();
+                if *pos == start {
+                    return None; // an unescaped control character
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).ok()?);
             }
         }
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Option<Value> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -221,7 +238,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Option<Value> {
         return Some(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos)? {
             b',' => *pos += 1,
@@ -234,7 +251,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Option<Value> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Option<Value> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -247,7 +264,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Option<Value> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos)? {
@@ -323,6 +340,39 @@ mod tests {
         ] {
             assert_eq!(Value::parse(bad), None, "{bad:?} must fail to parse");
         }
+    }
+
+    /// Nesting is capped: a line of a million `[` is a parse failure, not
+    /// a stack overflow, while the deepest nesting the cap admits parses.
+    #[test]
+    fn deep_nesting_is_a_parse_failure_not_a_stack_overflow() {
+        assert_eq!(Value::parse(&"[".repeat(1_000_000)), None);
+        assert_eq!(Value::parse(&"{\"a\":".repeat(1_000_000)), None);
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_some());
+        assert_eq!(Value::parse(&nested(MAX_DEPTH + 1)), None);
+    }
+
+    /// String parsing is linear: a multi-megabyte literal (a submitted grid
+    /// travels as one) round-trips in well under the bound even unoptimized.
+    #[test]
+    fn multi_megabyte_string_round_trips_in_linear_time() {
+        let text: String = "grid line \"q\" ü 漢 🎉\n\t"
+            .chars()
+            .cycle()
+            .take(4_000_000)
+            .collect();
+        let mut out = String::new();
+        push_json_str(&mut out, &text);
+        let started = std::time::Instant::now();
+        let parsed = Value::parse(&out).expect("long literal parses");
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.as_str(), Some(text.as_str()));
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "parsing {} bytes took {elapsed:?}",
+            out.len()
+        );
     }
 
     #[test]

@@ -3,22 +3,27 @@
 //!
 //! Two families of pins, one proof chain:
 //!
-//! * The **pinned digests** ([`FleetReport::pinned_digest`]) were recorded
-//!   on the pre-streaming batch pipeline (whole-log `power_intervals`, raw
-//!   outputs retained to the end).  Every materializing retention mode must
-//!   reproduce them byte for byte, at any thread count — they prove the
-//!   merge-time fold and the incremental builders never drifted from the
-//!   original whole-batch computation.
+//! * The **pinned digests** were recorded on the pre-streaming batch
+//!   pipeline (whole-log `power_intervals`, raw outputs retained to the
+//!   end).  They fold each node's entry count *before* its raw entry bytes,
+//!   which no stream can reproduce (FNV-1a is not seekable), so the library
+//!   no longer computes them: [`legacy_digest`] below is the test-local
+//!   oracle that refolds that exact byte layout from the public data of
+//!   [`ScenarioResult::execute`]'s materialized outputs.
 //! * The **stream digests** ([`FleetReport::digest`]) fold each node's
 //!   in-run entry stream (count + FNV over the encoded bytes) instead of
-//!   the raw bytes, which is what the zero-materialization path can
-//!   compute.  The bridge test below proves, scenario by scenario and node
+//!   the raw bytes, which is what the fleet's zero-materialization path
+//!   computes.  The bridge test below proves, scenario by scenario and node
 //!   by node, that the sink-fed path sees byte-identical entry streams to
-//!   the materializing path — so the pinned constants transitively cover
+//!   the materializing call — so the pinned constants transitively cover
 //!   the streaming path too, and the stream constants pin it directly.
 
 use hw_model::SimDuration;
-use quanto_fleet::{scenarios, FleetRunner, GridSpec, MediumSpec, Scenario};
+use quanto_core::NodeId;
+use quanto_fleet::{
+    scenarios, FleetReport, FleetRunner, GridSpec, MediumSpec, RawScenarioOutputs,
+    ReportAccumulator, Retention, Scenario, ScenarioResult,
+};
 
 /// `pin_batch()` pinned digest recorded on the pre-refactor batch pipeline.
 const PIN_BATCH_DIGEST: u64 = 0x766a_a912_dcd1_2f29;
@@ -31,6 +36,101 @@ const SINGLE_LPL_DIGEST: u64 = 0x297e_7546_08a5_134c;
 const PIN_BATCH_STREAM_DIGEST: u64 = 0xf73f_b2e3_9f24_1280;
 /// Single 4-second LPL channel-17 scenario, stream digest.
 const SINGLE_LPL_STREAM_DIGEST: u64 = 0x1f37_3cb5_5ee7_ff3a;
+
+/// FNV-1a 64, byte at a time — the hash both digest families use.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= *b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// A node id: its historical single byte in the v1 range, else the
+    /// `0xFF` escape byte followed by the full little-endian id.
+    fn write_node(&mut self, id: NodeId) {
+        if id.fits_v1() {
+            self.write(&[id.as_u32() as u8]);
+        } else {
+            self.write(&[0xFF]);
+            self.write(&id.as_u32().to_le_bytes());
+        }
+    }
+}
+
+/// Runs every scenario through the materializing call, in submission
+/// order, and merges the results through the same accumulator the fleet
+/// paths use — so the report's stream digest is comparable to theirs.
+fn materialize(batch: Vec<Scenario>) -> (FleetReport, Vec<RawScenarioOutputs>) {
+    let mut acc = ReportAccumulator::new(batch.len(), Retention::Stream);
+    let mut raws = Vec::with_capacity(batch.len());
+    for (i, s) in batch.into_iter().enumerate() {
+        let (result, raw) = ScenarioResult::execute(i, s);
+        acc.absorb(result);
+        raws.push(raw);
+    }
+    (acc.finish(1, std::time::Duration::ZERO, 0), raws)
+}
+
+/// The legacy pinned digest, refolded from public data in the byte layout
+/// of the pre-streaming pipeline: the batch length, then per scenario its
+/// name and index; per node its id, entry count, every encoded entry, the
+/// final stamp, the drop count, three radio counters and the ground-truth
+/// energy bits; then every node's average power, energy and radio duty
+/// bits; then, for counter-tracking mediums only, the medium kind and its
+/// four outcome counters.
+fn legacy_digest(report: &FleetReport, raws: &[RawScenarioOutputs]) -> u64 {
+    assert_eq!(report.results.len(), raws.len());
+    let mut h = Fnv::new();
+    h.write(&(report.results.len() as u64).to_le_bytes());
+    let mut bytes = Vec::new();
+    for (r, raw) in report.results.iter().zip(raws) {
+        let encoding = r.scenario.log_encoding();
+        h.write(r.scenario.name.as_bytes());
+        h.write(&(r.index as u64).to_le_bytes());
+        for (id, out) in &raw.outputs {
+            h.write_node(*id);
+            h.write(&(out.log.len() as u64).to_le_bytes());
+            bytes.clear();
+            for entry in &out.log {
+                encoding.encode_entry(entry, &mut bytes);
+            }
+            h.write(&bytes);
+            h.write(&out.final_stamp.time.as_micros().to_le_bytes());
+            h.write(&out.final_stamp.icount.to_le_bytes());
+            h.write(&out.log_dropped.to_le_bytes());
+            h.write(&out.radio_stats.packets_sent.to_le_bytes());
+            h.write(&out.radio_stats.packets_received.to_le_bytes());
+            h.write(&out.radio_stats.false_wakeups.to_le_bytes());
+            h.write(
+                &out.ground_truth
+                    .total
+                    .as_micro_joules()
+                    .to_bits()
+                    .to_le_bytes(),
+            );
+        }
+        for s in &r.summaries {
+            h.write(&s.average_power.as_micro_watts().to_bits().to_le_bytes());
+            h.write(&s.total_energy.as_micro_joules().to_bits().to_le_bytes());
+            h.write(&s.radio_duty_cycle.to_bits().to_le_bytes());
+        }
+        if let Ok(c) = r.medium_counters() {
+            h.write(r.medium_kind.as_bytes());
+            h.write(&c.delivered.to_le_bytes());
+            h.write(&c.lost_out_of_range.to_le_bytes());
+            h.write(&c.lost_below_sensitivity.to_le_bytes());
+            h.write(&c.lost_captured.to_le_bytes());
+        }
+    }
+    h.0
+}
 
 fn pin_batch() -> Vec<Scenario> {
     let d = SimDuration::from_secs(2);
@@ -69,29 +169,17 @@ seconds = 1
 
 #[test]
 fn materializing_modes_reproduce_pre_refactor_digests() {
-    for runner in [
-        FleetRunner::sequential().batch_digest(),
-        FleetRunner::new(4).batch_digest(),
-        FleetRunner::sequential().retain_raw(),
-        FleetRunner::new(4).retain_raw(),
-    ] {
-        let report = runner.run(pin_batch());
-        assert_eq!(
-            report.pinned_digest(),
-            Some(PIN_BATCH_DIGEST),
-            "pinned digest drifted from the pre-refactor batch pipeline \
-             (threads {}, retention {:?})",
-            runner.threads(),
-            runner.retention(),
-        );
-        assert_eq!(
-            report.digest(),
-            PIN_BATCH_STREAM_DIGEST,
-            "stream digest drifted (threads {}, retention {:?})",
-            runner.threads(),
-            runner.retention(),
-        );
-    }
+    let (report, raws) = materialize(pin_batch());
+    assert_eq!(
+        legacy_digest(&report, &raws),
+        PIN_BATCH_DIGEST,
+        "pinned digest drifted from the pre-refactor batch pipeline"
+    );
+    assert_eq!(
+        report.digest(),
+        PIN_BATCH_STREAM_DIGEST,
+        "stream digest of the materializing call drifted"
+    );
 }
 
 #[test]
@@ -104,25 +192,19 @@ fn streaming_mode_reproduces_the_stream_digest_pin() {
             "zero-materialization stream digest drifted (threads {})",
             runner.threads(),
         );
-        assert_eq!(
-            report.pinned_digest(),
-            None,
-            "stream mode holds no raw bytes"
-        );
-        assert_eq!(report.peak_entries_held(), 0);
     }
 }
 
 /// The bridge that extends the pre-refactor pins to the sink-fed path: for
 /// every scenario and node, the zero-materialization run must report the
 /// same entry count and the same FNV digest over the encoded entry bytes as
-/// the materializing run — i.e. the sink saw exactly the bytes the
+/// the materializing call — i.e. the sink saw exactly the bytes the
 /// materialized log holds, in the same order.
 #[test]
 fn in_run_streaming_is_byte_identical_to_the_batch_pipeline() {
     let streamed = FleetRunner::new(4).run(pin_batch());
-    let materialized = FleetRunner::new(4).batch_digest().run(pin_batch());
-    assert_eq!(materialized.pinned_digest(), Some(PIN_BATCH_DIGEST));
+    let (materialized, raws) = materialize(pin_batch());
+    assert_eq!(legacy_digest(&materialized, &raws), PIN_BATCH_DIGEST);
     for (a, b) in streamed.results.iter().zip(materialized.results.iter()) {
         assert_eq!(
             a.stream_meta(),
@@ -138,11 +220,12 @@ fn in_run_streaming_is_byte_identical_to_the_batch_pipeline() {
 #[test]
 fn single_scenario_digests_are_pinned_too() {
     let batch = || vec![Scenario::lpl(17, 0.18, SimDuration::from_secs(4))];
-    let report = FleetRunner::sequential().batch_digest().run(batch());
-    assert_eq!(report.pinned_digest(), Some(SINGLE_LPL_DIGEST));
+    let (report, raws) = materialize(batch());
+    assert_eq!(legacy_digest(&report, &raws), SINGLE_LPL_DIGEST);
     assert_eq!(report.digest(), SINGLE_LPL_STREAM_DIGEST);
-    let streamed = FleetRunner::sequential().run(batch());
-    assert_eq!(streamed.digest(), SINGLE_LPL_STREAM_DIGEST);
+    for runner in [FleetRunner::sequential(), FleetRunner::new(4)] {
+        assert_eq!(runner.run(batch()).digest(), SINGLE_LPL_STREAM_DIGEST);
+    }
 }
 
 /// The `Ideal` medium is the pre-medium-subsystem explicit-topology path:
@@ -154,10 +237,10 @@ fn explicit_ideal_medium_reproduces_the_pinned_digests() {
         .into_iter()
         .map(|s| s.with_medium(MediumSpec::Ideal))
         .collect();
-    let report = FleetRunner::new(4).batch_digest().run(batch);
+    let (report, raws) = materialize(batch);
     assert_eq!(
-        report.pinned_digest(),
-        Some(PIN_BATCH_DIGEST),
+        legacy_digest(&report, &raws),
+        PIN_BATCH_DIGEST,
         "an explicit Ideal medium must be byte-identical to the topology path"
     );
     assert!(report
@@ -174,7 +257,11 @@ fn grid_config_file_reproduces_the_pinned_digests() {
     let grid = GridSpec::parse(PIN_BATCH_GRID).expect("pin grid parses");
     let batch = grid.expand().expect("pin grid expands");
     assert_eq!(batch, pin_batch(), "grid must expand to the exact batch");
-    let report = FleetRunner::new(4).batch_digest().run(batch);
-    assert_eq!(report.pinned_digest(), Some(PIN_BATCH_DIGEST));
+    let (report, raws) = materialize(batch.clone());
+    assert_eq!(legacy_digest(&report, &raws), PIN_BATCH_DIGEST);
     assert_eq!(report.digest(), PIN_BATCH_STREAM_DIGEST);
+    assert_eq!(
+        FleetRunner::new(4).run(batch).digest(),
+        PIN_BATCH_STREAM_DIGEST
+    );
 }

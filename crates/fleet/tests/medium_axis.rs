@@ -3,7 +3,9 @@
 
 use hw_model::SimDuration;
 use quanto_core::NodeId;
-use quanto_fleet::{scenarios, FleetRunner, GeometrySpec, MediumSpec, PathLossSpec, Scenario};
+use quanto_fleet::{
+    scenarios, FleetRunner, GeometrySpec, MediumSpec, PathLossSpec, Scenario, ScenarioResult,
+};
 
 /// A unit disk with infinite range must behave exactly like the full
 /// topology: same deliveries, same logs, same stamps — however far apart the
@@ -16,11 +18,8 @@ fn unit_disk_with_infinite_range_equals_full_topology() {
         range_m: f64::INFINITY,
         positions: vec![(1, 0.0, 0.0), (4, 1.0e9, 0.0)],
     });
-    let runner = FleetRunner::sequential().retain_raw();
-    let a = runner.run(vec![ideal]);
-    let b = runner.run(vec![disk]);
-    let (ra, rb) = (&a.results[0], &b.results[0]);
-    let (raw_a, raw_b) = (ra.raw().unwrap(), rb.raw().unwrap());
+    let (ra, raw_a) = ScenarioResult::execute(0, ideal);
+    let (rb, raw_b) = ScenarioResult::execute(0, disk);
     for ((id_a, out_a), (id_b, out_b)) in raw_a.outputs.iter().zip(raw_b.outputs.iter()) {
         assert_eq!(id_a, id_b);
         assert_eq!(

@@ -1,6 +1,8 @@
 //! The non-perturbation contract of the `quanto-obs` layer: enabling
-//! observability must not change a single simulated byte.  Every digest pin
-//! from `digest_pin.rs` is re-asserted here with obs recording, and the
+//! observability must not change a single simulated byte.  Every stream
+//! digest pin from `digest_pin.rs` is re-asserted here with obs recording
+//! (the legacy pinned digests are a property of the materializing call,
+//! which `digest_pin.rs` bridges to these stream pins), and the
 //! obs-on reports are compared stream-for-stream against obs-off runs of
 //! the same batches — including the smoke grid's medium axis, so the
 //! path-loss effort counters and the spatial index are covered too.
@@ -12,8 +14,6 @@
 use hw_model::SimDuration;
 use quanto_fleet::{scenarios, FleetRunner, GridSpec, Scenario};
 
-const PIN_BATCH_DIGEST: u64 = 0x766a_a912_dcd1_2f29;
-const SINGLE_LPL_DIGEST: u64 = 0x297e_7546_08a5_134c;
 const PIN_BATCH_STREAM_DIGEST: u64 = 0xf73f_b2e3_9f24_1280;
 const SINGLE_LPL_STREAM_DIGEST: u64 = 0x1f37_3cb5_5ee7_ff3a;
 
@@ -38,14 +38,12 @@ fn smoke_batch() -> Vec<Scenario> {
 #[test]
 fn observability_never_perturbs_a_digest() {
     // Phase 1: obs off (the default) — record the reference digests and
-    // re-assert the pre-refactor pins.
+    // re-assert the stream pins.
     assert!(!quanto_obs::enabled(), "obs must start disabled");
-    let off_pin = FleetRunner::new(4).batch_digest().run(pin_batch());
-    assert_eq!(off_pin.pinned_digest(), Some(PIN_BATCH_DIGEST));
+    let off_pin = FleetRunner::new(4).run(pin_batch());
     assert_eq!(off_pin.digest(), PIN_BATCH_STREAM_DIGEST);
     let single = || vec![Scenario::lpl(17, 0.18, SimDuration::from_secs(4))];
-    let off_single = FleetRunner::sequential().batch_digest().run(single());
-    assert_eq!(off_single.pinned_digest(), Some(SINGLE_LPL_DIGEST));
+    let off_single = FleetRunner::sequential().run(single());
     assert_eq!(off_single.digest(), SINGLE_LPL_STREAM_DIGEST);
     let off_smoke = FleetRunner::new(4).run(smoke_batch());
     assert_eq!(
@@ -56,20 +54,18 @@ fn observability_never_perturbs_a_digest() {
 
     // Phase 2: the identical runs with every span and metric recording.
     quanto_obs::set_enabled(true);
-    let on_pin = FleetRunner::new(4).batch_digest().run(pin_batch());
-    let on_single = FleetRunner::sequential().batch_digest().run(single());
+    let on_pin = FleetRunner::new(4).run(pin_batch());
+    let on_single = FleetRunner::sequential().run(single());
     let on_smoke = FleetRunner::new(4).run(smoke_batch());
     let on_smoke_seq = FleetRunner::sequential().run(smoke_batch());
     quanto_obs::set_enabled(false);
     let harvest = quanto_obs::harvest();
 
     assert_eq!(
-        on_pin.pinned_digest(),
-        Some(PIN_BATCH_DIGEST),
-        "obs-on run drifted from the pinned batch digest"
+        on_pin.digest(),
+        PIN_BATCH_STREAM_DIGEST,
+        "obs-on run drifted from the pinned batch stream digest"
     );
-    assert_eq!(on_pin.digest(), PIN_BATCH_STREAM_DIGEST);
-    assert_eq!(on_single.pinned_digest(), Some(SINGLE_LPL_DIGEST));
     assert_eq!(on_single.digest(), SINGLE_LPL_STREAM_DIGEST);
     assert_eq!(
         on_smoke.digest(),

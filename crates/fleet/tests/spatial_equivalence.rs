@@ -5,7 +5,10 @@
 //! the fleet-side teeth of the net-sim `spatial_equivalence` proptests.
 
 use hw_model::SimDuration;
-use quanto_fleet::{scenarios, FleetRunner, Scenario};
+use quanto_fleet::{
+    scenarios, FleetReport, FleetRunner, RawScenarioOutputs, ReportAccumulator, Retention,
+    Scenario, ScenarioResult,
+};
 
 fn brute(batch: Vec<Scenario>) -> Vec<Scenario> {
     batch
@@ -14,20 +17,33 @@ fn brute(batch: Vec<Scenario>) -> Vec<Scenario> {
         .collect()
 }
 
+/// The batch through the materializing call, merged like a fleet run, with
+/// every raw output alongside.
+fn materialize(batch: Vec<Scenario>) -> (FleetReport, Vec<RawScenarioOutputs>) {
+    let mut acc = ReportAccumulator::new(batch.len(), Retention::Stream);
+    let mut raws = Vec::with_capacity(batch.len());
+    for (i, s) in batch.into_iter().enumerate() {
+        let (result, raw) = ScenarioResult::execute(i, s);
+        acc.absorb(result);
+        raws.push(raw);
+    }
+    (acc.finish(1, std::time::Duration::ZERO, 0), raws)
+}
+
 /// Every medium kind in the standard grid — ideal, unit disk, path loss and
 /// a mobility walk — digests identically with and without the index.
 #[test]
 fn spatial_index_is_invisible_across_the_medium_grid() {
     let d = SimDuration::from_secs(4);
-    let runner = FleetRunner::sequential().retain_raw();
-    let fast = runner.run(scenarios::medium_grid(d));
-    let slow = runner.run(brute(scenarios::medium_grid(d)));
+    let (fast, fast_raw) = materialize(scenarios::medium_grid(d));
+    let (slow, slow_raw) = materialize(brute(scenarios::medium_grid(d)));
     assert_eq!(
         fast.digest(),
         slow.digest(),
         "the spatial index changed a medium-grid digest"
     );
-    for (f, s) in fast.results.iter().zip(slow.results.iter()) {
+    let raws = fast_raw.iter().zip(slow_raw.iter());
+    for ((f, s), (raw_f, raw_s)) in fast.results.iter().zip(slow.results.iter()).zip(raws) {
         // Outcomes must match exactly; the effort fields differ by
         // construction (the brute scan examines all pairs, prunes none).
         assert_eq!(
@@ -36,7 +52,6 @@ fn spatial_index_is_invisible_across_the_medium_grid() {
             "{}: outcomes diverged between indexed and brute-force runs",
             f.scenario.name
         );
-        let (raw_f, raw_s) = (f.raw().unwrap(), s.raw().unwrap());
         for ((id_f, out_f), (_, out_s)) in raw_f.outputs.iter().zip(raw_s.outputs.iter()) {
             assert_eq!(out_f.log, out_s.log, "node {id_f} logs diverged");
         }

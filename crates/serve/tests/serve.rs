@@ -11,7 +11,9 @@
 //! * a client disconnect cancels its job and frees the pool for the next
 //!   tenant;
 //! * the metrics endpoint (JSON-lines and plain HTTP) renders the daemon
-//!   counters.
+//!   counters;
+//! * a hostile line (a million nested brackets) is a counted protocol
+//!   error, not a dead daemon.
 //!
 //! Clients here are the real [`quanto_serve::client`] plus hand-rolled
 //! sockets where the test needs to misbehave (disconnect mid-sweep) or
@@ -346,5 +348,29 @@ fn metrics_render_daemon_counters_over_both_transports() {
         "the HTTP hit counts too:\n{response}"
     );
 
+    handle.shutdown();
+}
+
+#[test]
+fn deeply_nested_line_is_a_protocol_error_not_a_crash() {
+    let handle = start_server(1);
+    let addr = handle.addr().to_string();
+    {
+        let stream = TcpStream::connect(&addr).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut line = "[".repeat(1_000_000);
+        line.push('\n');
+        writer.write_all(line.as_bytes()).expect("hostile line");
+        let mut reply = String::new();
+        BufReader::new(stream)
+            .read_line(&mut reply)
+            .expect("error reply");
+        assert!(reply.starts_with("{\"t\":\"error\","), "{reply}");
+    }
+    let text = client::metrics(&addr).expect("the daemon still answers");
+    assert!(
+        text.contains("counter serve.errors.protocol 1\n"),
+        "the hostile line must count once:\n{text}"
+    );
     handle.shutdown();
 }
