@@ -49,9 +49,10 @@ pub fn unwrap_times(entries: &[LogEntry]) -> Vec<UnwrappedEntry> {
 /// exactly those of the slice — in particular the order is lexicographic on
 /// the state indices, which fixes the order pooled observations come out in.
 #[derive(Clone, Copy, Default)]
+#[repr(C)]
 pub struct StateCombination {
-    len: u8,
     states: [StateIndex; MAX_SINKS],
+    len: u8,
 }
 
 impl StateCombination {
@@ -69,20 +70,48 @@ impl StateCombination {
         catalog.sinks().map(|(_, s)| s.default_state).collect()
     }
 
-    /// The whole inline array as big-endian words.  Slots past `len` always
-    /// hold the default state (nothing can write them), so comparing the
-    /// words and then the lengths orders two combinations exactly as their
-    /// slices: a strict prefix ties on the words and loses on the length.
-    /// Three word comparisons replace up to [`MAX_SINKS`] per-state ones —
-    /// this comparison is the observation pool's inner loop.
-    fn words(&self) -> [u64; MAX_SINKS / 8] {
-        std::array::from_fn(|w| {
-            u64::from_be_bytes(std::array::from_fn(|b| self.states[8 * w + b].as_u8()))
+    /// The combination as little-endian words of eight states each, plus
+    /// its length — the form [`crate::streaming::IntervalBuilder`] keeps its
+    /// open combination in, so a state change is one word update.
+    pub(crate) fn to_le_words(self) -> ([u64; STATE_WORDS], u8) {
+        let words = std::array::from_fn(|w| {
+            u64::from_le_bytes(std::array::from_fn(|b| self.states[8 * w + b].as_u8()))
+        });
+        (words, self.len)
+    }
+
+    /// Inverse of [`StateCombination::to_le_words`].
+    pub(crate) fn from_le_words(words: &[u64; STATE_WORDS], len: u8) -> Self {
+        let mut states = [StateIndex::default(); MAX_SINKS];
+        for (w, word) in words.iter().enumerate() {
+            for (b, byte) in word.to_le_bytes().into_iter().enumerate() {
+                states[8 * w + b] = StateIndex(byte);
+            }
+        }
+        StateCombination { len, states }
+    }
+
+    /// The combination packed into words that order exactly like it: the
+    /// whole inline array as big-endian words, then the length.  Slots past
+    /// `len` always hold the default state (nothing can write them), so a
+    /// strict prefix ties on the state words and loses on the length.  Four
+    /// word comparisons replace up to [`MAX_SINKS`] per-state ones, and the
+    /// observation pool keys its groups by this value.
+    pub(crate) fn packed(&self) -> PackedCombination {
+        std::array::from_fn(|w| match w {
+            STATE_WORDS => u64::from(self.len),
+            _ => u64::from_be_bytes(std::array::from_fn(|b| self.states[8 * w + b].as_u8())),
         })
     }
 }
 
-const _: () = assert!(MAX_SINKS.is_multiple_of(8), "words() packs whole u64s");
+/// How many u64 words [`MAX_SINKS`] state indices fill.
+pub(crate) const STATE_WORDS: usize = MAX_SINKS / 8;
+
+/// [`StateCombination::packed`]: the state words, then the length.
+pub(crate) type PackedCombination = [u64; STATE_WORDS + 1];
+
+const _: () = assert!(MAX_SINKS.is_multiple_of(8), "packed() packs whole u64s");
 
 impl FromIterator<StateIndex> for StateCombination {
     /// # Panics
@@ -119,7 +148,7 @@ impl DerefMut for StateCombination {
 
 impl PartialEq for StateCombination {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.words() == other.words()
+        self.packed() == other.packed()
     }
 }
 
@@ -133,9 +162,7 @@ impl PartialOrd for StateCombination {
 
 impl Ord for StateCombination {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.words()
-            .cmp(&other.words())
-            .then(self.len.cmp(&other.len))
+        self.packed().cmp(&other.packed())
     }
 }
 
@@ -146,16 +173,23 @@ impl fmt::Debug for StateCombination {
 }
 
 /// A span during which the set of active power states was constant.
+///
+/// The layout is fixed so `states` starts 16 bytes in: a caller that copies
+/// an interval (draining a builder by value, say) moves it in 16-byte
+/// pieces, and every 8-byte word the observation pool then reads out of
+/// `states` lies inside one piece, so the read is forwarded from the copy
+/// instead of stalling until the copy reaches the cache.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C)]
 pub struct PowerInterval {
     /// Interval start.
     pub start: SimTime,
     /// Interval end (exclusive).
     pub end: SimTime,
-    /// iCount pulses accumulated during the interval.
-    pub counts: u32,
     /// The per-sink state indices in effect during the interval.
     pub states: StateCombination,
+    /// iCount pulses accumulated during the interval.
+    pub counts: u32,
 }
 
 impl PowerInterval {

@@ -25,9 +25,9 @@
 //! * [`MultiSegmentBuilder`] — O(concurrent activities) open state.
 
 use crate::intervals::{
-    ActivitySegment, MultiSegment, PowerInterval, StateCombination, UnwrappedEntry,
+    ActivitySegment, MultiSegment, PowerInterval, StateCombination, UnwrappedEntry, STATE_WORDS,
 };
-use hw_model::{Catalog, SimTime, StateIndex};
+use hw_model::{Catalog, SimTime};
 use quanto_core::{ActivityLabel, DeviceId, EntryKind, LogEntry, Stamp};
 
 /// Incrementally reconstructs monotonic 64-bit time from the wrapping 32-bit
@@ -78,11 +78,64 @@ impl TimeUnwrapper {
 /// worth of intervals, pushing and draining allocate nothing.
 #[derive(Debug, Clone)]
 pub struct IntervalBuilder {
-    unwrapper: TimeUnwrapper,
-    states: StateCombination,
-    cursor_time: SimTime,
-    cursor_counts: u32,
+    open: OpenInterval,
     ready: Vec<PowerInterval>,
+}
+
+/// Everything an [`IntervalBuilder`] carries between entries.  It is `Copy`
+/// so [`IntervalBuilder::push_chunk`] folds a whole chunk with it in locals:
+/// nothing is re-read through `self` after each emitted interval, and a
+/// state change never stores a byte that the next emission reloads as part
+/// of a wider word (a store-forwarding stall).
+#[derive(Debug, Clone, Copy)]
+struct OpenInterval {
+    unwrapper: TimeUnwrapper,
+    /// The open combination as little-endian words of eight states each
+    /// (see `StateCombination::to_le_words`), and its length.
+    state_words: [u64; STATE_WORDS],
+    sinks: u8,
+    start: SimTime,
+    start_counts: u32,
+}
+
+impl OpenInterval {
+    /// Every sink in its catalog default state, time and counter at zero.
+    fn boot(catalog: &Catalog) -> Self {
+        let (state_words, sinks) = StateCombination::defaults(catalog).to_le_words();
+        OpenInterval {
+            unwrapper: TimeUnwrapper::new(),
+            state_words,
+            sinks,
+            start: SimTime::ZERO,
+            start_counts: 0,
+        }
+    }
+
+    /// Closes the open interval at `end`, if it has any length.
+    fn close(&self, end: SimTime, end_counts: u32, ready: &mut Vec<PowerInterval>) {
+        if end > self.start {
+            ready.push(PowerInterval {
+                start: self.start,
+                end,
+                counts: end_counts.wrapping_sub(self.start_counts),
+                states: StateCombination::from_le_words(&self.state_words, self.sinks),
+            });
+        }
+    }
+
+    /// Sets sink `i`'s state (sinks outside the catalog are ignored).  Each
+    /// word is rewritten through a mask instead of being indexed, which
+    /// keeps the words in registers.
+    fn set_state(&mut self, i: usize, state: u8) {
+        if i >= usize::from(self.sinks) {
+            return;
+        }
+        let shift = 8 * (i % 8);
+        for (w, word) in self.state_words.iter_mut().enumerate() {
+            let mask = if i / 8 == w { 0xff << shift } else { 0 };
+            *word = (*word & !mask) | ((u64::from(state) << shift) & mask);
+        }
+    }
 }
 
 impl IntervalBuilder {
@@ -90,43 +143,33 @@ impl IntervalBuilder {
     /// default state and the iCount counter at zero.
     pub fn new(catalog: &Catalog) -> Self {
         IntervalBuilder {
-            unwrapper: TimeUnwrapper::new(),
-            states: StateCombination::defaults(catalog),
-            cursor_time: SimTime::ZERO,
-            cursor_counts: 0,
+            open: OpenInterval::boot(catalog),
             ready: Vec::new(),
         }
     }
 
     /// Consumes one entry.
     pub fn push(&mut self, entry: &LogEntry) {
-        // Every entry advances the wrap detector, even the kinds this
-        // builder ignores.
-        let time = self.unwrapper.unwrap(entry.time_us);
-        if entry.kind != EntryKind::PowerState {
-            return;
-        }
-        let sink = entry.sink().expect("power-state entry has a sink");
-        if time > self.cursor_time {
-            self.ready.push(PowerInterval {
-                start: self.cursor_time,
-                end: time,
-                counts: entry.icount.wrapping_sub(self.cursor_counts),
-                states: self.states,
-            });
-        }
-        if sink.as_usize() < self.states.len() {
-            self.states[sink.as_usize()] = StateIndex(entry.value as u8);
-        }
-        self.cursor_time = time;
-        self.cursor_counts = entry.icount;
+        self.push_chunk(std::slice::from_ref(entry));
     }
 
     /// Consumes one chunk of entries, in log order.
     pub fn push_chunk(&mut self, chunk: &[LogEntry]) {
+        let mut open = self.open;
         for entry in chunk {
-            self.push(entry);
+            // Every entry advances the wrap detector, even the kinds this
+            // builder ignores.
+            let time = open.unwrapper.unwrap(entry.time_us);
+            if entry.kind != EntryKind::PowerState {
+                continue;
+            }
+            let sink = entry.sink().expect("power-state entry has a sink");
+            open.close(time, entry.icount, &mut self.ready);
+            open.set_state(sink.as_usize(), entry.value as u8);
+            open.start = time;
+            open.start_counts = entry.icount;
         }
+        self.open = open;
     }
 
     /// Drains the intervals completed so far (each interval is emitted
@@ -146,14 +189,7 @@ impl IntervalBuilder {
     /// closing interval has already been emitted.
     pub fn flush(&mut self, final_stamp: Option<Stamp>) {
         if let Some(end) = final_stamp {
-            if end.time > self.cursor_time {
-                self.ready.push(PowerInterval {
-                    start: self.cursor_time,
-                    end: end.time,
-                    counts: end.icount.wrapping_sub(self.cursor_counts),
-                    states: self.states,
-                });
-            }
+            self.open.close(end.time, end.icount, &mut self.ready);
         }
     }
 
@@ -161,10 +197,7 @@ impl IntervalBuilder {
     /// zero cursor, no wraps seen), keeping its ready buffer — so one
     /// builder can be reused across runs without reallocating.
     pub fn reset(&mut self, catalog: &Catalog) {
-        self.unwrapper = TimeUnwrapper::new();
-        self.states = StateCombination::defaults(catalog);
-        self.cursor_time = SimTime::ZERO;
-        self.cursor_counts = 0;
+        self.open = OpenInterval::boot(catalog);
         self.ready.clear();
     }
 
@@ -182,17 +215,48 @@ impl IntervalBuilder {
 /// single-activity device.
 #[derive(Debug, Clone)]
 pub struct SegmentBuilder {
-    unwrapper: TimeUnwrapper,
+    open: OpenSegment,
     device: DeviceId,
     resolve_bindings: bool,
-    current: ActivityLabel,
-    seg_start: SimTime,
-    seg_counts: u32,
     /// Segments that can no longer change (always empty while
     /// `resolve_bindings`, see the module docs).
     ready: Vec<ActivitySegment>,
-    /// Completed segments an `ActivityBind` may still relabel.
+    /// Completed segments an `ActivityBind` may still relabel (always empty
+    /// without `resolve_bindings`).
     retained: Vec<ActivitySegment>,
+}
+
+/// Everything a [`SegmentBuilder`] carries between entries, `Copy` for the
+/// same reason as the interval builder's: a chunk is folded with it in
+/// locals.
+#[derive(Debug, Clone, Copy)]
+struct OpenSegment {
+    unwrapper: TimeUnwrapper,
+    label: ActivityLabel,
+    start: SimTime,
+    start_counts: u32,
+}
+
+impl OpenSegment {
+    /// Idle at time zero, no wraps seen.
+    fn boot() -> Self {
+        OpenSegment {
+            unwrapper: TimeUnwrapper::new(),
+            label: ActivityLabel::IDLE,
+            start: SimTime::ZERO,
+            start_counts: 0,
+        }
+    }
+
+    /// The open segment closed at `end`, if it has any length.
+    fn close(&self, end: SimTime, end_counts: u32) -> Option<ActivitySegment> {
+        (end > self.start).then(|| ActivitySegment {
+            start: self.start,
+            end,
+            label: self.label,
+            counts: end_counts.wrapping_sub(self.start_counts),
+        })
+    }
 }
 
 impl SegmentBuilder {
@@ -201,12 +265,9 @@ impl SegmentBuilder {
     /// does.
     pub fn new(device: DeviceId, resolve_bindings: bool) -> Self {
         SegmentBuilder {
-            unwrapper: TimeUnwrapper::new(),
+            open: OpenSegment::boot(),
             device,
             resolve_bindings,
-            current: ActivityLabel::IDLE,
-            seg_start: SimTime::ZERO,
-            seg_counts: 0,
             ready: Vec::new(),
             retained: Vec::new(),
         }
@@ -214,49 +275,48 @@ impl SegmentBuilder {
 
     /// Consumes one entry.
     pub fn push(&mut self, entry: &LogEntry) {
-        let time = self.unwrapper.unwrap(entry.time_us);
-        if entry.device() != Some(self.device)
-            || !matches!(
-                entry.kind,
-                EntryKind::ActivityChange | EntryKind::ActivityBind
-            )
-        {
-            return;
-        }
-        let new_label = entry.label().expect("activity entry has a label");
-        if time > self.seg_start {
-            self.retained.push(ActivitySegment {
-                start: self.seg_start,
-                end: time,
-                label: self.current,
-                counts: entry.icount.wrapping_sub(self.seg_counts),
-            });
-        }
-        if self.resolve_bindings && entry.kind == EntryKind::ActivityBind {
-            // Charge the just-finished run of `current`-labelled segments to
-            // the activity it is being bound to.
-            let proxy = self.current;
-            for seg in self.retained.iter_mut().rev() {
-                if seg.label == proxy {
-                    seg.label = new_label;
-                } else {
-                    break;
-                }
-            }
-        } else if !self.resolve_bindings {
-            // Without binding, a closed segment is final immediately.
-            self.ready.append(&mut self.retained);
-        }
-        self.current = new_label;
-        self.seg_start = time;
-        self.seg_counts = entry.icount;
+        self.push_chunk(std::slice::from_ref(entry));
     }
 
     /// Consumes one chunk of entries, in log order.
     pub fn push_chunk(&mut self, chunk: &[LogEntry]) {
+        let mut open = self.open;
         for entry in chunk {
-            self.push(entry);
+            let time = open.unwrapper.unwrap(entry.time_us);
+            if entry.device() != Some(self.device)
+                || !matches!(
+                    entry.kind,
+                    EntryKind::ActivityChange | EntryKind::ActivityBind
+                )
+            {
+                continue;
+            }
+            let new_label = entry.label().expect("activity entry has a label");
+            if let Some(closed) = open.close(time, entry.icount) {
+                // Without binding, a closed segment is final immediately.
+                if self.resolve_bindings {
+                    self.retained.push(closed);
+                } else {
+                    self.ready.push(closed);
+                }
+            }
+            if self.resolve_bindings && entry.kind == EntryKind::ActivityBind {
+                // Charge the just-finished run of `current`-labelled
+                // segments to the activity it is being bound to.
+                let proxy = open.label;
+                for seg in self.retained.iter_mut().rev() {
+                    if seg.label == proxy {
+                        seg.label = new_label;
+                    } else {
+                        break;
+                    }
+                }
+            }
+            open.label = new_label;
+            open.start = time;
+            open.start_counts = entry.icount;
         }
+        self.open = open;
     }
 
     /// Drains the segments that can no longer change.  With
@@ -271,15 +331,8 @@ impl SegmentBuilder {
     /// After a flush the builder should be [`SegmentBuilder::reset`] before
     /// reuse.
     pub fn flush(&mut self, final_stamp: Option<Stamp>) {
-        if let Some(end) = final_stamp {
-            if end.time > self.seg_start {
-                self.retained.push(ActivitySegment {
-                    start: self.seg_start,
-                    end: end.time,
-                    label: self.current,
-                    counts: end.icount.wrapping_sub(self.seg_counts),
-                });
-            }
+        if let Some(closed) = final_stamp.and_then(|end| self.open.close(end.time, end.icount)) {
+            self.retained.push(closed);
         }
         self.ready.append(&mut self.retained);
     }
@@ -287,10 +340,7 @@ impl SegmentBuilder {
     /// Returns the builder to its boot state (idle at time zero, no wraps
     /// seen), keeping its allocations.
     pub fn reset(&mut self) {
-        self.unwrapper = TimeUnwrapper::new();
-        self.current = ActivityLabel::IDLE;
-        self.seg_start = SimTime::ZERO;
-        self.seg_counts = 0;
+        self.open = OpenSegment::boot();
         self.ready.clear();
         self.retained.clear();
     }

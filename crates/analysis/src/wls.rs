@@ -13,7 +13,7 @@
 //! where `X` is the 0/1 design matrix of active power states (plus a constant
 //! column absorbing quiescent draw), and `W = diag(w_j)`.
 
-use crate::intervals::{PowerInterval, StateCombination};
+use crate::intervals::{PackedCombination, PowerInterval, StateCombination};
 use crate::matrix::{weighted_least_squares, Matrix, MatrixError};
 use hw_model::{Catalog, Current, Energy, Power, SimDuration, SinkId, StateIndex, Voltage};
 
@@ -52,61 +52,97 @@ impl Observation {
 /// of intervals — which is what lets a streaming consumer regress a
 /// week-long log without holding it.
 ///
-/// The groups sit in a vector sorted by combination, each interval is looked
-/// up by binary search on its borrowed states, and a group is inserted only
-/// the first time its combination appears.  Folding an interval whose
-/// combination was seen before therefore never allocates, and
-/// [`ObservationPool::clear`] keeps the vector's capacity for the next run.
-/// The sort order is lexicographic on the state indices, which fixes the
-/// order of [`ObservationPool::observations`].
+/// The groups sit in vectors sorted by combination, and each group's key is
+/// its combination packed into four words (see `StateCombination::packed`),
+/// computed once when the group is inserted.  A lookup packs the interval's
+/// combination once and, while the pool is small (a platform run typically
+/// visits 6–16 combinations), scans every key with a select instead of a
+/// branch, so the common case has no data-dependent branch; past 32 groups
+/// it binary-searches the keys.  A group is inserted only the first time
+/// its combination appears, so folding an interval whose combination was
+/// seen before never allocates, and [`ObservationPool::clear`] keeps the
+/// capacity for the next run.  The sort order is lexicographic on the state
+/// indices, which fixes the order of [`ObservationPool::observations`].
 #[derive(Debug, Clone, Default)]
 pub struct ObservationPool {
-    grouped: Vec<(StateCombination, SimDuration, u64)>,
+    /// Each group's packed combination, in sorted order — the only thing a
+    /// lookup reads, kept contiguous.
+    keys: Vec<PackedCombination>,
+    /// Per group, parallel to `keys`: the combination and its summed time
+    /// and pulse counts.
+    groups: Vec<(StateCombination, SimDuration, u64)>,
 }
 
 impl ObservationPool {
+    /// Pools up to this many groups are searched by a branch-free scan;
+    /// larger ones by binary search.
+    const SCAN_LIMIT: usize = 32;
+
     /// An empty pool.
     pub fn new() -> Self {
         ObservationPool::default()
     }
 
+    /// The index of the group keyed `key`, if the pool has one.
+    fn find(&self, key: &PackedCombination) -> Option<usize> {
+        if self.keys.len() <= Self::SCAN_LIMIT {
+            let mut hit = usize::MAX;
+            for (i, k) in self.keys.iter().enumerate() {
+                // Word-wise XOR-OR keeps `key` in registers; a select, not
+                // a branch, records the match.
+                let diff = k.iter().zip(key).fold(0, |d, (a, b)| d | (a ^ b));
+                hit = if diff == 0 { i } else { hit };
+            }
+            (hit != usize::MAX).then_some(hit)
+        } else {
+            self.keys.binary_search(key).ok()
+        }
+    }
+
+    /// Inserts an empty group for a combination the pool has not seen,
+    /// keeping the sort order; returns its index.  Runs once per distinct
+    /// combination, so it stays out of line.
+    #[cold]
+    #[inline(never)]
+    fn insert(&mut self, key: PackedCombination, states: StateCombination) -> usize {
+        let i = self.keys.partition_point(|k| *k < key);
+        self.keys.insert(i, key);
+        self.groups.insert(i, (states, SimDuration::ZERO, 0));
+        i
+    }
+
     /// Folds one interval into the pool.
     pub fn add(&mut self, interval: &PowerInterval) {
-        let i = match self
-            .grouped
-            .binary_search_by(|(key, ..)| key.cmp(&interval.states))
-        {
-            Ok(i) => i,
-            Err(i) => {
-                self.grouped
-                    .insert(i, (interval.states, SimDuration::ZERO, 0));
-                i
-            }
+        let key = interval.states.packed();
+        let i = match self.find(&key) {
+            Some(i) => i,
+            None => self.insert(key, interval.states),
         };
-        let (_, time, counts) = &mut self.grouped[i];
+        let (_, time, counts) = &mut self.groups[i];
         *time += interval.duration();
         *counts += interval.counts as u64;
     }
 
     /// Empties the pool for reuse across runs, keeping its capacity.
     pub fn clear(&mut self) {
-        self.grouped.clear();
+        self.keys.clear();
+        self.groups.clear();
     }
 
     /// Number of distinct state combinations seen.
     pub fn len(&self) -> usize {
-        self.grouped.len()
+        self.groups.len()
     }
 
     /// Whether any interval has been pooled.
     pub fn is_empty(&self) -> bool {
-        self.grouped.is_empty()
+        self.groups.is_empty()
     }
 
     /// Converts the pooled sums into regression observations, pricing pulse
     /// counts at `energy_per_count`.
     pub fn observations(&self, energy_per_count: Energy) -> Vec<Observation> {
-        self.grouped
+        self.groups
             .iter()
             .map(|&(states, time, counts)| Observation {
                 states,

@@ -20,15 +20,13 @@ use std::rc::Rc;
 fn bench_steady_state_record(c: &mut Criterion) {
     let mut group = c.benchmark_group("alloc");
     const CAP: usize = 800;
-    // One long-lived logger: the buffer and the sink's encode scratch are
-    // warm after the first batch, so every sample measures the steady state.
-    let digest = Rc::new(RefCell::new((StreamDigest::new(), Vec::<u8>::new())));
+    // One long-lived logger: its buffer is warm after the first batch, so
+    // every sample measures the steady state.
+    let digest = Rc::new(RefCell::new(StreamDigest::new()));
     let tap = digest.clone();
     let mut logger = RamLogger::new(CAP, OverflowPolicy::Flush);
     logger.set_sink(Box::new(move |chunk: &[LogEntry]| {
-        let mut guard = tap.borrow_mut();
-        let (digest, scratch) = &mut *guard;
-        digest.fold_chunk(chunk, scratch);
+        tap.borrow_mut().fold_chunk(chunk, &mut Vec::new());
     }));
     for i in 0..2_000u32 {
         logger.record(LogEntry::power_state(

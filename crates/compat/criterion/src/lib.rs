@@ -2,7 +2,8 @@
 //!
 //! The build environment has no network access, so the workspace vendors the
 //! slice of criterion's API its benches use: [`Criterion::bench_function`],
-//! [`Criterion::benchmark_group`] with [`BenchmarkGroup::sample_size`],
+//! [`Criterion::benchmark_group`] with [`BenchmarkGroup::sample_size`] and
+//! [`BenchmarkGroup::throughput`],
 //! [`Bencher::iter`] / [`Bencher::iter_batched`], [`BatchSize`], and the
 //! [`criterion_group!`] / [`criterion_main!`] macros.  It measures wall-clock
 //! time with `std::time::Instant` and prints a per-benchmark summary line;
@@ -20,6 +21,14 @@ pub enum BatchSize {
     LargeInput,
     /// One input per iteration.
     PerIteration,
+}
+
+/// How much work one iteration does, so a summary line can also report the
+/// median time per element.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Throughput {
+    /// One iteration processes this many elements.
+    Elements(u64),
 }
 
 /// Prevents the optimizer from discarding a value.
@@ -93,18 +102,31 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-fn run_one<F: FnMut(&mut Bencher)>(id: &str, samples: usize, mut f: F) {
+fn run_one<F: FnMut(&mut Bencher)>(
+    id: &str,
+    samples: usize,
+    throughput: Option<Throughput>,
+    mut f: F,
+) {
     let mut bencher = Bencher::new(samples);
     let wall = Instant::now();
     f(&mut bencher);
     let total = wall.elapsed();
     match bencher.summary() {
-        Some((median, mean)) => println!(
-            "bench {id:<48} median {:>12}  mean {:>12}  ({} samples)",
-            fmt_ns(median),
-            fmt_ns(mean),
-            samples
-        ),
+        Some((median, mean)) => {
+            let per_element = match throughput {
+                Some(Throughput::Elements(n)) if n > 0 => {
+                    format!("  [{:.2} ns/element]", median / n as f64)
+                }
+                _ => String::new(),
+            };
+            println!(
+                "bench {id:<48} median {:>12}  mean {:>12}  ({} samples){per_element}",
+                fmt_ns(median),
+                fmt_ns(mean),
+                samples
+            )
+        }
         None => println!("bench {id:<48} completed in {total:?} (no timed iterations)"),
     }
 }
@@ -126,7 +148,7 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        run_one(id.as_ref(), self.sample_size, f);
+        run_one(id.as_ref(), self.sample_size, None, f);
         self
     }
 
@@ -135,6 +157,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             sample_size: self.sample_size,
+            throughput: None,
             _criterion: self,
         }
     }
@@ -149,6 +172,7 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
+    throughput: Option<Throughput>,
     _criterion: &'a mut Criterion,
 }
 
@@ -156,6 +180,13 @@ impl BenchmarkGroup<'_> {
     /// Sets the number of timed iterations per benchmark in this group.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(1);
+        self
+    }
+
+    /// Declares how much work each iteration of the group's subsequent
+    /// benchmarks does; their summary lines then add the median per element.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
         self
     }
 
@@ -167,6 +198,7 @@ impl BenchmarkGroup<'_> {
         run_one(
             &format!("{}/{}", self.name, id.as_ref()),
             self.sample_size,
+            self.throughput,
             f,
         );
         self

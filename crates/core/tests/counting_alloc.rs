@@ -3,8 +3,9 @@
 //! This is a dedicated integration-test binary because `#[global_allocator]`
 //! is per-binary: a counting allocator wraps the system one, and the test
 //! proves that once the record → flush-drain → digest-fold pipeline is warm
-//! (buffer at capacity, encode scratch grown), pushing thousands more
-//! entries through it performs **zero** heap allocations.  This is the
+//! (buffer at its reserved capacity), pushing thousands more entries
+//! through it performs **zero** heap allocations, and that the chunked fold
+//! it drives equals a per-entry fold of the same entries.  This is the
 //! property the pooled `SimWorkspace` sweep path stands on — per-entry cost
 //! is pure compute, never allocator traffic.
 //!
@@ -56,20 +57,17 @@ fn entry(i: u64) -> LogEntry {
 fn steady_state_record_drain_fold_allocates_nothing() {
     const CAP: usize = 64;
     const STEADY_ENTRIES: u64 = 64 * CAP as u64;
-    // The sink drives the chunked digest fold with a reusable scratch
-    // buffer — the exact shape the fleet's streaming LiveNode sink has.
-    let state = Rc::new(RefCell::new((StreamDigest::new(), Vec::<u8>::new())));
+    // The sink drives the chunked digest fold, the way the fleet's
+    // streaming LiveNode sink does (the fold's scratch argument is unused).
+    let state = Rc::new(RefCell::new(StreamDigest::new()));
     let tap = state.clone();
     let mut logger = RamLogger::new(CAP, OverflowPolicy::Flush);
     logger.set_sink(Box::new(move |chunk: &[LogEntry]| {
-        let mut guard = tap.borrow_mut();
-        let (digest, scratch) = &mut *guard;
-        digest.fold_chunk(chunk, scratch);
+        tap.borrow_mut().fold_chunk(chunk, &mut Vec::new());
     }));
 
     // Warm-up: several full overflow cycles, so the RAM buffer sits at its
-    // reserved capacity and the encode scratch has grown to one chunk's
-    // worth of encoded bytes.
+    // reserved capacity.
     for i in 0..(4 * CAP as u64) {
         logger.record(entry(i));
     }
@@ -80,7 +78,9 @@ fn steady_state_record_drain_fold_allocates_nothing() {
     // entries pushed); transient harness noise does not — so the gate is:
     // at least one attempt must observe exactly zero allocations.
     let mut deltas = Vec::with_capacity(5);
+    let mut attempts = 0;
     for _ in 0..5 {
+        attempts += 1;
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         for i in 0..STEADY_ENTRIES {
             logger.record(entry(i));
@@ -99,9 +99,19 @@ fn steady_state_record_drain_fold_allocates_nothing() {
     );
 
     // Sanity: the pipeline actually ran — every recorded entry reached the
-    // digest (minus at most one buffer still waiting to flush).
+    // digest (minus at most one buffer still waiting to flush) — and the
+    // chunked fold equals a per-entry fold over the entries it saw.
     drop(logger);
-    let (digest, scratch) = &*state.borrow();
+    let digest = *state.borrow();
     assert!(digest.entries() >= STEADY_ENTRIES, "sink saw the stream");
-    assert!(scratch.capacity() > 0, "scratch was warmed");
+    let mut reference = StreamDigest::new();
+    (0..4 * CAP as u64)
+        .chain((0..attempts).flat_map(|_| 0..STEADY_ENTRIES))
+        .take(digest.entries() as usize)
+        .for_each(|i| reference.fold(&entry(i)));
+    assert_eq!(
+        digest.digest(),
+        reference.digest(),
+        "chunked fold = per-entry fold"
+    );
 }

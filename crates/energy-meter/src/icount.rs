@@ -83,6 +83,9 @@ impl Default for ICountConfig {
 #[derive(Debug, Clone)]
 pub struct ICountMeter {
     config: ICountConfig,
+    /// `config.true_energy_per_pulse()` in µJ, computed once: every read
+    /// divides by it.
+    per_pulse_uj: f64,
 }
 
 impl ICountMeter {
@@ -96,7 +99,10 @@ impl ICountMeter {
             config.gain_error > -1.0,
             "gain error must be greater than -100 %"
         );
-        ICountMeter { config }
+        ICountMeter {
+            per_pulse_uj: config.true_energy_per_pulse().as_micro_joules(),
+            config,
+        }
     }
 
     /// The meter's configuration.
@@ -113,10 +119,12 @@ impl Default for ICountMeter {
 
 impl EnergyMeter for ICountMeter {
     fn read(&mut self, true_cumulative: Energy) -> MeterReading {
-        let per_pulse = self.config.true_energy_per_pulse().as_micro_joules();
-        let pulses = (true_cumulative.as_micro_joules() / per_pulse)
-            .floor()
-            .max(0.0) as u64;
+        // Whole pulses delivered so far.  The saturating float-to-int cast
+        // is exactly `floor().max(0.0) as u64` for every f64: it truncates,
+        // which is floor for x >= 0; negatives, -0.0 and NaN give 0; +inf
+        // gives u64::MAX.  Without SSE4.1, `floor` is a libcall — the cast
+        // keeps the per-stamp read to a divide and a convert.
+        let pulses = (true_cumulative.as_micro_joules() / self.per_pulse_uj) as u64;
         MeterReading {
             counter: (pulses % (u32::MAX as u64 + 1)) as u32,
             read_cost_cycles: self.config.read_cost_cycles,
@@ -146,6 +154,66 @@ mod tests {
         let big = m.read(Energy::from_milli_joules(521.23)).counter;
         // 521.23 mJ / 8.33 uJ = 62572.6... pulses.
         assert_eq!(big, 62_572);
+    }
+
+    /// The cast-based read must give the counter the original
+    /// `floor().max(0.0) as u64` expression gave, on every edge of the f64
+    /// line: signed zeros, negatives, NaN, infinity, exact pulse multiples
+    /// and the ulp just below them, and counts past the u32 wrap.
+    #[test]
+    fn cast_read_matches_floor_reference_on_every_edge() {
+        fn reference(cfg: &ICountConfig, uj: f64) -> u32 {
+            let per_pulse = cfg.true_energy_per_pulse().as_micro_joules();
+            let pulses = (uj / per_pulse).floor().max(0.0) as u64;
+            (pulses % (u32::MAX as u64 + 1)) as u32
+        }
+        for gain_error in [0.0, 0.1, -0.07, 0.15] {
+            let cfg = ICountConfig {
+                gain_error,
+                ..ICountConfig::hydrowatch()
+            };
+            let per_pulse = cfg.true_energy_per_pulse().as_micro_joules();
+            let mut inputs = vec![
+                0.0,
+                -0.0,
+                -1e-300,
+                -f64::MIN_POSITIVE,
+                -0.5,
+                -per_pulse,
+                -1e12,
+                f64::NAN,
+                -f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MAX,
+                f64::MIN_POSITIVE,
+                per_pulse / 2.0,
+            ];
+            let wrap = u32::MAX as f64 + 1.0;
+            for k in [
+                1.0,
+                2.0,
+                3.0,
+                10.0,
+                62_572.0,
+                1e6,
+                wrap - 1.0,
+                wrap,
+                wrap + 1.0,
+                5.0 * wrap,
+            ] {
+                let exact = k * per_pulse;
+                inputs.extend([exact, f64::from_bits(exact.to_bits() - 1), exact * 1.5]);
+            }
+            let mut m = ICountMeter::new(cfg);
+            for uj in inputs {
+                assert_eq!(
+                    m.read(Energy::from_micro_joules(uj)).counter,
+                    reference(&cfg, uj),
+                    "gain {gain_error}, {uj:e} µJ"
+                );
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use net_sim::DeliveryCounters;
 use os_sim::drivers::RadioStats;
 use os_sim::NodeRunOutput;
 use quanto_apps::ExperimentContext;
-use quanto_core::{LogEncoding, LogEntry, LogSink, NodeId, Stamp, StreamDigest};
+use quanto_core::{LogEncoding, LogEntry, NodeId, Stamp, StreamDigest};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -188,8 +188,12 @@ pub struct ScenarioResult {
 ///
 /// Pooled by [`crate::workspace::SimWorkspace`]: between scenarios
 /// [`LiveNode::reset`] returns the builders to boot state while keeping
-/// every allocation (per-sink state vectors, segment buffers, the encode
-/// scratch), so the steady-state sweep path builds no per-node state.
+/// every allocation (interval and segment buffers, the observation pool),
+/// so the steady-state sweep path builds no per-node state.
+///
+/// [`ScenarioResult::execute`] feeds its materialized logs through the same
+/// type, so both execution paths build summaries and stream residues in
+/// one place ([`LiveNode::finish`]).
 pub(crate) struct LiveNode {
     catalog: Arc<Catalog>,
     radio_rx: SinkId,
@@ -202,9 +206,6 @@ pub(crate) struct LiveNode {
     /// Log-drain chunks this sink consumed (a plain count the obs layer
     /// reads after the run; never branches on the hot path).
     chunks: u64,
-    /// Reusable encode buffer for the chunked digest fold — warm after the
-    /// first full chunk, so folding allocates nothing at steady state.
-    scratch: Vec<u8>,
 }
 
 impl LiveNode {
@@ -225,7 +226,6 @@ impl LiveNode {
             stats: IntervalStats::new(),
             cpu_segments: 0,
             chunks: 0,
-            scratch: Vec::new(),
             catalog,
         }
     }
@@ -256,7 +256,7 @@ impl LiveNode {
     /// Consumes one chunk: entry digest, power intervals, CPU segments.
     fn accept(&mut self, chunk: &[LogEntry]) {
         self.chunks += 1;
-        self.digest.fold_chunk(chunk, &mut self.scratch);
+        self.digest.fold_chunk(chunk, &mut Vec::new());
         self.builder.push_chunk(chunk);
         for iv in self.builder.drain_completed() {
             self.stats.absorb(&iv, self.radio_rx, self.energy_per_count);
@@ -265,25 +265,59 @@ impl LiveNode {
         self.cpu_segments += self.segments.drain_completed().count() as u64;
     }
 
-    /// Closes both builders at the end-of-run stamp.
-    fn close(&mut self, final_stamp: Stamp) {
-        self.builder.flush(Some(final_stamp));
+    /// Closes both builders at the node's end-of-run stamp, regresses the
+    /// pooled observations and returns the node's summary and stream
+    /// residue.  `out` is the node's run output; its log is not read (the
+    /// entries already flowed through [`LiveNode::accept`]).
+    fn finish(&mut self, node: NodeId, out: &NodeRunOutput) -> (NodeSummary, NodeStreamMeta) {
+        self.builder.flush(Some(out.final_stamp));
         for iv in self.builder.drain_completed() {
             self.stats.absorb(&iv, self.radio_rx, self.energy_per_count);
         }
-        self.segments.flush(Some(final_stamp));
+        self.segments.flush(Some(out.final_stamp));
         self.cpu_segments += self.segments.drain_completed().count() as u64;
+        let regression_error = regress(
+            &self.stats.pool.observations(self.energy_per_count),
+            &self.catalog,
+            RegressionOptions::default(),
+        )
+        .ok()
+        .map(|r| r.relative_error);
+        let summary = NodeSummary {
+            node,
+            log_entries: self.digest.entries() as usize,
+            log_dropped: out.log_dropped,
+            average_power: self.stats.average_power(self.energy_per_count),
+            total_energy: self.stats.energy,
+            radio_duty_cycle: self.stats.radio_duty_cycle(),
+            packets_sent: out.radio_stats.packets_sent,
+            packets_received: out.radio_stats.packets_received,
+            false_wakeups: out.radio_stats.false_wakeups,
+            regression_error,
+            cpu_segments: self.cpu_segments,
+        };
+        let meta = NodeStreamMeta {
+            node,
+            entries: self.digest.entries(),
+            entry_digest: self.digest.digest(),
+            final_stamp: out.final_stamp,
+            log_dropped: out.log_dropped,
+            radio_stats: out.radio_stats,
+            ground_truth_total: out.ground_truth.total,
+        };
+        (summary, meta)
     }
 }
 
 impl ScenarioResult {
     /// Builds, boots, runs and analyzes one scenario on the *materializing*
-    /// path: each node's full log is collected and summarized through the
-    /// incremental builders, and the raw outputs come back next to the
-    /// result.  Summaries and stream residues are bit-identical to
-    /// [`ScenarioResult::execute_streaming`], which every fleet path uses;
-    /// this call serves the consumers that re-read raw logs (the figure
-    /// binaries) and the tests that fold the legacy digests from them.
+    /// path: each node's full log is collected, then fed through the same
+    /// per-node sink the streaming path drives, and the raw outputs come
+    /// back next to the result.  Summaries and stream residues are
+    /// bit-identical to [`ScenarioResult::execute_streaming`], which every
+    /// fleet path uses; this call serves the consumers that re-read raw
+    /// logs (the figure binaries) and the tests that fold the legacy
+    /// digests from them.
     pub fn execute(index: usize, scenario: Scenario) -> (ScenarioResult, RawScenarioOutputs) {
         let kind = scenario.app.kind();
         let _scenario_span = quanto_obs::span_with("scenario", &scenario.name);
@@ -311,16 +345,24 @@ impl ScenarioResult {
         // show up as unattributed busy time in the profile.
         drop(net);
         let encoding = scenario.log_encoding();
-        let mut summaries = Vec::with_capacity(outputs.len());
-        let mut stream = Vec::with_capacity(outputs.len());
-        for (id, out) in &outputs {
-            let (_, ctx) = contexts
-                .iter()
-                .find(|(cid, _)| cid == id)
-                .expect("context captured for every node");
-            summaries.push(summarize(*id, out, ctx));
-            stream.push(stream_meta_from_raw(*id, out, encoding));
-        }
+        let (summaries, stream) = outputs
+            .iter()
+            .map(|(id, out)| {
+                let (_, ctx) = contexts
+                    .iter()
+                    .find(|(cid, _)| cid == id)
+                    .expect("context captured for every node");
+                let mut node = LiveNode::new(
+                    ctx.catalog.clone(),
+                    ctx.sinks.radio_rx,
+                    ctx.energy_per_count,
+                    ctx.cpu_dev,
+                    encoding,
+                );
+                node.accept(&out.log);
+                node.finish(*id, out)
+            })
+            .unzip();
         let medium_kind = scenario.medium.kind();
         let result = ScenarioResult {
             index,
@@ -428,38 +470,11 @@ impl ScenarioResult {
             debug_assert_eq!(id, live_id, "outputs follow node insertion order");
             debug_assert!(out.log.is_empty(), "sink mode must not materialize logs");
             let mut node = node.borrow_mut();
-            node.close(out.final_stamp);
             quanto_obs::counter_add("stream.chunks", node.chunks);
             quanto_obs::counter_add("stream.entries", node.digest.entries());
-            let regression_error = regress(
-                &node.stats.pool.observations(node.energy_per_count),
-                &node.catalog,
-                RegressionOptions::default(),
-            )
-            .ok()
-            .map(|r| r.relative_error);
-            summaries.push(NodeSummary {
-                node: *id,
-                log_entries: node.digest.entries() as usize,
-                log_dropped: out.log_dropped,
-                average_power: node.stats.average_power(node.energy_per_count),
-                total_energy: node.stats.energy,
-                radio_duty_cycle: node.stats.radio_duty_cycle(),
-                packets_sent: out.radio_stats.packets_sent,
-                packets_received: out.radio_stats.packets_received,
-                false_wakeups: out.radio_stats.false_wakeups,
-                regression_error,
-                cpu_segments: node.cpu_segments,
-            });
-            stream.push(NodeStreamMeta {
-                node: *id,
-                entries: node.digest.entries(),
-                entry_digest: node.digest.digest(),
-                final_stamp: out.final_stamp,
-                log_dropped: out.log_dropped,
-                radio_stats: out.radio_stats,
-                ground_truth_total: out.ground_truth.total,
-            });
+            let (summary, meta) = node.finish(*id, out);
+            summaries.push(summary);
+            stream.push(meta);
         }
         // Hand every slot back for the next scenario through this workspace
         // (the sinks died with the net, so each is reusable again).
@@ -737,33 +752,6 @@ fn fold_node_id(h: &mut Fnv, id: NodeId) {
     }
 }
 
-/// The stream residue of one node, recomputed from its materialized log —
-/// the [`ScenarioResult::execute`] equivalent of what the sink accumulates
-/// live.  Chunking
-/// independence of [`StreamDigest`] makes the two byte-comparable.
-fn stream_meta_from_raw(
-    node: NodeId,
-    out: &NodeRunOutput,
-    encoding: LogEncoding,
-) -> NodeStreamMeta {
-    let mut digest = StreamDigest::with_encoding(encoding);
-    digest.accept(&out.log);
-    NodeStreamMeta {
-        node,
-        entries: digest.entries(),
-        entry_digest: digest.digest(),
-        final_stamp: out.final_stamp,
-        log_dropped: out.log_dropped,
-        radio_stats: out.radio_stats,
-        ground_truth_total: out.ground_truth.total,
-    }
-}
-
-/// How many log entries the summarizer hands the interval builder at a time.
-/// Any value yields identical results (equivalence is property-tested); this
-/// one keeps the per-chunk working set around one RAM buffer's worth.
-const SUMMARY_CHUNK: usize = 1024;
-
 /// Streaming accumulators over completed power intervals: every functional
 /// the summary needs, folded interval-by-interval with *exactly* the
 /// floating-point operation order of the batch `analysis` helpers (the
@@ -831,51 +819,6 @@ impl IntervalStats {
         } else {
             self.duty_active_us as f64 / self.duty_total_us as f64
         }
-    }
-}
-
-/// Runs the shared analysis pipeline over one node's raw outputs, streaming
-/// the log through the incremental builders chunk by chunk — the same
-/// per-chunk fold the live sink performs, so summaries are bit-identical
-/// across the materializing and streaming paths.
-fn summarize(node: NodeId, out: &NodeRunOutput, ctx: &ExperimentContext) -> NodeSummary {
-    let radio_rx = ctx.sinks.radio_rx;
-    let mut builder = IntervalBuilder::new(&ctx.catalog);
-    let mut stats = IntervalStats::new();
-    let mut segments = SegmentBuilder::new(ctx.cpu_dev, false);
-    let mut cpu_segments = 0u64;
-    for chunk in out.log.chunks(SUMMARY_CHUNK) {
-        builder.push_chunk(chunk);
-        for iv in builder.drain_completed() {
-            stats.absorb(&iv, radio_rx, ctx.energy_per_count);
-        }
-        segments.push_chunk(chunk);
-        cpu_segments += segments.drain_completed().count() as u64;
-    }
-    for iv in builder.finish(Some(out.final_stamp)) {
-        stats.absorb(&iv, radio_rx, ctx.energy_per_count);
-    }
-    segments.flush(Some(out.final_stamp));
-    cpu_segments += segments.drain_completed().count() as u64;
-    let regression_error = regress(
-        &stats.pool.observations(ctx.energy_per_count),
-        &ctx.catalog,
-        RegressionOptions::default(),
-    )
-    .ok()
-    .map(|r| r.relative_error);
-    NodeSummary {
-        node,
-        log_entries: out.log.len(),
-        log_dropped: out.log_dropped,
-        average_power: stats.average_power(ctx.energy_per_count),
-        total_energy: stats.energy,
-        radio_duty_cycle: stats.radio_duty_cycle(),
-        packets_sent: out.radio_stats.packets_sent,
-        packets_received: out.radio_stats.packets_received,
-        false_wakeups: out.radio_stats.false_wakeups,
-        regression_error,
-        cpu_segments,
     }
 }
 

@@ -8,8 +8,8 @@
 //!   heap, the event-dedup slots — via [`net_sim::NetScratch`],
 //! * every node's RAM log buffer (recycled through the kernel teardown),
 //! * the medium's spatial-index cell grid, and
-//! * the per-node analysis slots (`LiveNode`: interval/segment builders,
-//!   the stream digest's encode scratch, the observation pool).
+//! * the per-node analysis slots (`LiveNode`: interval/segment builders
+//!   and the observation pool).
 //!
 //! [`crate::ScenarioResult::execute_streaming_in`] checks these out, runs
 //! one scenario, and hands them back — so a worker thread sweeping N

@@ -69,7 +69,6 @@ fn min_allocations(mut f: impl FnMut()) -> u64 {
 /// interval builder feeding the observation pool, CPU segment builder.
 struct Sink {
     digest: StreamDigest,
-    scratch: Vec<u8>,
     intervals: IntervalBuilder,
     pool: ObservationPool,
     segments: SegmentBuilder,
@@ -78,7 +77,7 @@ struct Sink {
 
 impl Sink {
     fn accept(&mut self, chunk: &[LogEntry]) {
-        self.digest.fold_chunk(chunk, &mut self.scratch);
+        self.digest.fold_chunk(chunk, &mut Vec::new());
         self.intervals.push_chunk(chunk);
         for iv in self.intervals.drain_completed() {
             self.pool.add(&iv);
@@ -123,7 +122,6 @@ fn warm_analysis_sink_and_scenario_allocate_independently_of_log_length() {
     let log = hydrowatch_log(8_192);
     let mut sink = Sink {
         digest: StreamDigest::new(),
-        scratch: Vec::new(),
         intervals: IntervalBuilder::new(&catalog),
         pool: ObservationPool::new(),
         segments: SegmentBuilder::new(DeviceId(0), false),
@@ -131,7 +129,7 @@ fn warm_analysis_sink_and_scenario_allocate_independently_of_log_length() {
     };
     // Warm-up: two passes (the second starts from the states the first
     // ended in) pool every combination the replayed log expresses and grow
-    // the encode scratch and both ready buffers to a chunk's worth.
+    // both ready buffers to a chunk's worth.
     for _ in 0..2 {
         for chunk in log.chunks(CHUNK) {
             sink.accept(chunk);

@@ -220,11 +220,10 @@ impl EnergyAccumulator {
             return;
         }
         let dur = to.duration_since(self.now);
+        // No zero skip: a sink's energy starts at +0.0 and only ever gains
+        // `power × dur`, so adding a zero leaves its bits unchanged.
         for s in &mut self.sinks {
-            let e = s.power * dur;
-            if e != Energy::ZERO {
-                s.energy += e;
-            }
+            s.energy += s.power * dur;
         }
         self.total += self.power * dur;
         self.now = to;

@@ -58,6 +58,7 @@ impl SimTime {
     ///
     /// Panics if `earlier` is later than `self`; callers are expected to only
     /// ask for forward-looking durations.
+    #[inline]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         assert!(
             earlier.0 <= self.0,

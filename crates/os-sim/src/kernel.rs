@@ -287,8 +287,12 @@ impl Kernel {
     /// Records a ground-truth power-state change and tells Quanto about it.
     pub(crate) fn set_sink(&mut self, sink: SinkId, state: StateIndex) {
         self.accumulator.set_state(self.cursor, sink, state);
-        let current = self.accumulator.current_power() / self.config.supply;
-        self.trace.push(self.cursor, current);
+        // A detached probe discards every step, so headless runs skip the
+        // division that would only feed it.
+        if self.trace.is_enabled() {
+            let current = self.accumulator.current_power() / self.config.supply;
+            self.trace.push(self.cursor, current);
+        }
         if self.config.quanto_enabled {
             let stamp = self.stamp();
             self.quanto

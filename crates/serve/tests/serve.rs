@@ -53,8 +53,7 @@ seconds = 1
 ";
 const PIN_BATCH_LEN: usize = 7;
 
-/// A moderate grid for concurrency tests: six Bounce cells, each a few
-/// tens of host milliseconds, so two jobs genuinely overlap on the pool.
+/// Six short Bounce cells, a few host milliseconds each.
 const BOUNCE_GRID: &str = "
 [grid]
 name = bounce_grid
@@ -64,6 +63,29 @@ seconds = 2
 app = bounce
 seeds = 1..6
 name = bounce_seed{seed}
+";
+
+/// Six cells whose last one simulates 150× longer than the others: five
+/// 2 s Bounce cells, then a 300 s one.  Cells are claimed in order, so a
+/// job's first progress events arrive within a few short cells of its
+/// submission, while its final event waits for the long cell — a window
+/// two orders of magnitude wider than a loopback handshake at any build
+/// profile or simulator speed, since both scale together.  The tests that
+/// act between a job's first and last events use it.
+const SLOW_TAIL_GRID: &str = "
+[grid]
+name = slow_tail_grid
+seconds = 2
+
+[cell.bounce]
+app = bounce
+seeds = 1..5
+name = bounce_seed{seed}
+
+[cell.tail]
+app = bounce
+seconds = 300
+name = bounce_tail
 ";
 
 fn start_server(workers: usize) -> quanto_serve::ServerHandle {
@@ -141,7 +163,7 @@ fn two_concurrent_jobs_share_the_pool_and_interleave() {
             let addr = addr.clone();
             let timeline = timeline.clone();
             std::thread::spawn(move || {
-                client::run_sweep(&addr, BOUNCE_GRID, &Default::default(), |_| {
+                client::run_sweep(&addr, SLOW_TAIL_GRID, &Default::default(), |_| {
                     timeline.lock().unwrap().push((tenant, Instant::now()));
                 })
                 .expect("served sweep completes")
@@ -192,7 +214,7 @@ fn partial_query_returns_a_byte_exact_prefix_of_the_final_summary() {
     let mut writer = stream.try_clone().expect("clone");
     let mut reader = BufReader::new(stream);
     let mut request = String::from("{\"t\":\"submit\",\"proto\":1,\"grid\":");
-    quanto_fleet::wire::push_json_str(&mut request, BOUNCE_GRID);
+    quanto_fleet::wire::push_json_str(&mut request, SLOW_TAIL_GRID);
     request.push_str(",\"seconds\":null,\"seeds\":null,\"pairs\":null}\n");
     writer.write_all(request.as_bytes()).expect("submit");
 
@@ -209,7 +231,8 @@ fn partial_query_returns_a_byte_exact_prefix_of_the_final_summary() {
             .expect("job id parses")
     };
 
-    // Let a couple of cells merge, then snapshot from a second connection.
+    // Let a couple of cells merge, then snapshot from a second connection
+    // while the long tail cell still holds the job open.
     for _ in 0..2 {
         line.clear();
         reader.read_line(&mut line).expect("progress line");

@@ -419,6 +419,76 @@ proptest! {
         }
     }
 
+    /// The pool's packed-key lookup (a branch-free scan while the pool is
+    /// small, binary search past its 32-group scan limit) pools
+    /// exactly like a plain binary search over the combinations' slices.
+    /// Streams draw from 1–40 distinct combinations of HydroWatch and Blink
+    /// lengths, so a pool can cross from scanning to searching mid-stream.
+    /// A third of the HydroWatch-length combinations hold state index 0
+    /// (what unused inline slots hold) past the Blink length, so they can
+    /// share every state word with a Blink combination and differ only in
+    /// length.  `observations()` must
+    /// equal the reference bit for bit and in order, round after round of
+    /// `clear()`.
+    #[test]
+    fn pool_matches_a_binary_search_reference(
+        combos in prop::collection::vec((0u8..3, prop::collection::vec(0u8..3, MAX_SINKS)), 1..41),
+        picks in prop::collection::vec((0usize..1_000, 0u64..5_000, 0u32..400), 1..300),
+        rounds in 1usize..5,
+        epc_pj in 1u32..1_000_000,
+    ) {
+        let blink = blink_catalog().0.sink_count();
+        let hydro = hydrowatch().0.sink_count();
+        let combos: Vec<StateCombination> = combos
+            .iter()
+            .map(|(kind, states)| {
+                let len = if *kind == 0 { blink } else { hydro };
+                let states = states[..len].iter().enumerate().map(|(i, &s)| {
+                    StateIndex(if *kind == 2 && i >= blink { 0 } else { s })
+                });
+                states.collect()
+            })
+            .collect();
+        let epc = Energy::from_micro_joules(f64::from(epc_pj) * 1e-6);
+        let mut pool = analysis::ObservationPool::new();
+        for round in 0..rounds {
+            let mut reference: Vec<(StateCombination, SimDuration, u64)> = Vec::new();
+            let mut t = SimTime::ZERO;
+            for &(pick, dt, counts) in &picks {
+                let iv = PowerInterval {
+                    start: t,
+                    end: t + SimDuration::from_micros(dt),
+                    // Each round visits the combinations in another order.
+                    states: combos[(pick + round) % combos.len()],
+                    counts,
+                };
+                t = iv.end;
+                pool.add(&iv);
+                let i = match reference.binary_search_by(|(key, ..)| key[..].cmp(&iv.states[..])) {
+                    Ok(i) => i,
+                    Err(i) => {
+                        reference.insert(i, (iv.states, SimDuration::ZERO, 0));
+                        i
+                    }
+                };
+                reference[i].1 += iv.duration();
+                reference[i].2 += u64::from(iv.counts);
+            }
+            let got = pool.observations(epc);
+            prop_assert_eq!(got.len(), reference.len());
+            for (obs, (states, time, counts)) in got.iter().zip(&reference) {
+                prop_assert_eq!(&obs.states[..], &states[..]);
+                prop_assert_eq!(obs.time, *time);
+                prop_assert_eq!(
+                    obs.energy.as_micro_joules().to_bits(),
+                    (epc * *counts as f64).as_micro_joules().to_bits()
+                );
+            }
+            pool.clear();
+            prop_assert!(pool.is_empty());
+        }
+    }
+
     /// A `StateCombination` compares exactly like the slice it holds, for
     /// every pair of lengths up to the inline capacity (prefixes included:
     /// the small state range makes shared prefixes and ties common).
